@@ -5,8 +5,9 @@ and round-trip annotation task files into labeled datasets.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
-from mlas2.reranking import Scorer, tokenize
+from mlas2.reranking import IdfTable, Scorer, tokenize
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,10 @@ class Document:
 class DocumentCorpus:
     """Immutable inverted index over a document collection.
 
-    Postings map each term to (doc id, term frequency) pairs sorted by doc id;
-    idf uses the same smoothed formula as the lexical scorer, and per-document
-    tf-idf norms are precomputed for cosine retrieval.
+    Postings map each term to (doc id, term frequency) pairs sorted by doc id.
+    Term weights come from an ``IdfTable`` whose document frequencies are the
+    posting-list lengths, and per-document tf-idf norms are precomputed for
+    cosine retrieval.
     """
 
     def __init__(self, documents: Sequence[Document]) -> None:
@@ -40,23 +42,25 @@ class DocumentCorpus:
             seen.add(doc.id)
         self.documents: tuple[Document, ...] = tuple(docs)
         self.by_id = {doc.id: doc for doc in docs}
+        self._ids_sorted: tuple[str, ...] = tuple(sorted(self.by_id))
 
         index: dict[str, list[tuple[str, int]]] = {}
-        doc_terms: dict[str, Counter[str]] = {}
+        doc_terms: list[Counter[str]] = []
         for doc in docs:
             counts = Counter(tokenize(doc.text))
-            doc_terms[doc.id] = counts
+            doc_terms.append(counts)
             for term, tf in counts.items():
                 index.setdefault(term, []).append((doc.id, tf))
         for postings in index.values():
             postings.sort()
         self._index = index
+        self.idf_table = IdfTable(
+            {term: len(postings) for term, postings in index.items()}, len(docs)
+        )
 
-        self._norms: dict[str, float] = {}
-        for doc in docs:
-            self._norms[doc.id] = math.sqrt(
-                sum((tf * self.idf(term)) ** 2 for term, tf in doc_terms[doc.id].items())
-            )
+        self._norms: dict[str, float] = {
+            doc.id: self.idf_table.counts_norm(counts) for doc, counts in zip(docs, doc_terms)
+        }
 
     @property
     def num_docs(self) -> int:
@@ -64,10 +68,6 @@ class DocumentCorpus:
 
     def postings(self, term: str) -> list[tuple[str, int]]:
         return list(self._index.get(term, ()))
-
-    def idf(self, term: str) -> float:
-        df = len(self._index.get(term, ()))
-        return math.log((self.num_docs + 1) / (df + 1)) + 1.0
 
 
 def build_index(docs: Iterable[Document | dict]) -> DocumentCorpus:
@@ -100,25 +100,29 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     doc id. Documents sharing no term score 0 but still count toward k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    q_counts = Counter(tokenize(query))
-    if not q_counts:
+    table = corpus.idf_table
+    q_weights, q_norm = table.vector_with_norm(query)
+    if not q_weights:
         raise ValueError("query has no tokens after tokenization")
-    q_weights = {term: tf * corpus.idf(term) for term, tf in q_counts.items()}
-    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
 
+    # dot products over postings only; every other document scores 0
     dots: dict[str, float] = {}
     for term, qw in q_weights.items():
-        for doc_id, tf in corpus.postings(term):
-            dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * corpus.idf(term)
+        idf = table.idf(term)
+        for doc_id, tf in corpus._index.get(term, ()):
+            dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf
 
-    scored = []
-    for doc in corpus.documents:
-        norm = corpus._norms[doc.id]
-        dot = dots.get(doc.id, 0.0)
-        score = dot / (q_norm * norm) if norm > 0.0 and dot != 0.0 else 0.0
-        scored.append((doc.id, score))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [doc_id for doc_id, _ in scored[:k]]
+    norms = corpus._norms
+    ranked = [
+        doc_id
+        for _, doc_id in heapq.nsmallest(
+            k, ((-(dot / (q_norm * norms[doc_id])), doc_id) for doc_id, dot in dots.items())
+        )
+    ]
+    if len(ranked) < k:
+        fill = (doc_id for doc_id in corpus._ids_sorted if doc_id not in dots)
+        ranked.extend(itertools.islice(fill, k - len(ranked)))
+    return ranked
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,20 @@ def tokenize(text: str) -> list[str]:
 
 class IdfTable:
     """Smoothed inverse document frequencies over a candidate corpus:
-    idf(w) = ln((N+1)/(df(w)+1)) + 1."""
+    idf(w) = ln((N+1)/(df(w)+1)) + 1, computed once per term at construction;
+    every unseen term shares the df = 0 value.
+
+    This is the package's one tf-idf core: the lexical scorer, the mock
+    scorer server and document retrieval all weigh terms through it.
+    """
 
     def __init__(self, df: dict[str, int], num_docs: int) -> None:
         self.df = dict(df)
         self.num_docs = num_docs
+        self._idf = {
+            term: math.log((num_docs + 1) / (n + 1)) + 1.0 for term, n in self.df.items()
+        }
+        self._unseen_idf = math.log(num_docs + 1) + 1.0
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "IdfTable":
@@ -57,28 +66,45 @@ class IdfTable:
         return cls(dict(df), n)
 
     def idf(self, term: str) -> float:
-        return math.log((self.num_docs + 1) / (self.df.get(term, 0) + 1)) + 1.0
+        return self._idf.get(term, self._unseen_idf)
 
     def vector(self, text: str) -> dict[str, float]:
-        counts = Counter(tokenize(text))
-        return {term: tf * self.idf(term) for term, tf in counts.items()}
+        """Tf-idf weights of a text's terms, in first-occurrence order."""
+        idf, unseen = self._idf, self._unseen_idf
+        return {term: tf * idf.get(term, unseen) for term, tf in Counter(tokenize(text)).items()}
+
+    def vector_with_norm(self, text: str) -> tuple[dict[str, float], float]:
+        """A text's tf-idf vector and its Euclidean norm."""
+        v = self.vector(text)
+        return v, math.sqrt(sum([x * x for x in v.values()]))
+
+    def counts_norm(self, counts: Counter[str]) -> float:
+        """Norm of the tf-idf vector of term counts, as indexed documents use it.
+
+        Squares as ``** 2`` where ``vector_with_norm`` multiplies: the two can
+        round apart in the last bit, and each form keeps its callers' scores
+        and orderings unchanged.
+        """
+        idf, unseen = self._idf, self._unseen_idf
+        return math.sqrt(sum([(tf * idf.get(term, unseen)) ** 2 for term, tf in counts.items()]))
 
 
-def cosine(u: dict[str, float], v: dict[str, float]) -> float:
-    """Cosine similarity of sparse vectors; 0.0 when either is zero."""
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
+def cosine(u: dict[str, float], nu: float, v: dict[str, float], nv: float) -> float:
+    """Cosine similarity of sparse non-negative vectors given with their norms,
+    in [0, 1]; 0.0 when either is zero."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if len(v) < len(u):
         u, v = v, u
     dot = sum(x * v[t] for t, x in u.items() if t in v)
-    return dot / (nu * nv)
+    # sqrt(s) ** 2 can fall below s, so a text scored against itself could
+    # exceed 1 by an ulp
+    return min(1.0, dot / (nu * nv))
 
 
 def lexical_score(q_text: str, t_text: str, idf_table: IdfTable) -> float:
     """Tf-idf cosine between question and candidate; always in [0, 1]."""
-    return cosine(idf_table.vector(q_text), idf_table.vector(t_text))
+    return cosine(*idf_table.vector_with_norm(q_text), *idf_table.vector_with_norm(t_text))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +146,16 @@ class LexicalScorer(TextPairScorer):
         )
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        return [lexical_score(q, t, self.idf_table) for q, t in pairs]
+        """Each distinct question text is vectorized once per call."""
+        table = self.idf_table
+        questions: dict[str, tuple[dict[str, float], float]] = {}
+        out = []
+        for q, t in pairs:
+            qv = questions.get(q)
+            if qv is None:
+                qv = questions[q] = table.vector_with_norm(q)
+            out.append(cosine(*qv, *table.vector_with_norm(t)))
+        return out
 
 
 class StaticScorer(Scorer):
@@ -203,15 +238,19 @@ class RemoteScorer(TextPairScorer):
         if resp.status_code != 200:
             raise ScoringError(f"scorer returned {resp.status_code}: {resp.text[:200]}")
         try:
-            scores = resp.json().get("scores")
+            body = resp.json()
         except ValueError as exc:
             raise ScoringError(f"scorer returned invalid JSON: {exc}") from exc
+        scores = body.get("scores") if isinstance(body, dict) else None
         if not isinstance(scores, list) or len(scores) != len(pairs):
             got = len(scores) if isinstance(scores, list) else "no"
             raise ScoringError(f"scorer returned {got} scores for {len(pairs)} pairs")
         out = []
         for s in scores:
-            value = float(s)
+            try:
+                value = float(s)
+            except (TypeError, ValueError) as exc:
+                raise ScoringError(f"scorer returned a non-numeric score: {s!r}") from exc
             if not 0.0 <= value <= 1.0:
                 raise ScoringError(f"scorer returned score outside [0, 1]: {value}")
             out.append(value)

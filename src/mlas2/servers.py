@@ -12,7 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from mlas2.reranking import IdfTable, lexical_score
+from mlas2.reranking import IdfTable, LexicalScorer
 from mlas2.translation import mock_translate
 
 
@@ -128,8 +128,7 @@ class _ScorerHandler(_JsonHandler):
                 scores.append(table[key])
         else:
             # zero-config mode: tf-idf over the candidate texts of this request
-            idf = IdfTable.from_texts(t for _, t in qt)
-            scores = [lexical_score(q, t, idf) for q, t in qt]
+            scores = LexicalScorer(IdfTable.from_texts(t for _, t in qt)).score_pairs(qt)
         self._reply(200, {"scores": scores})
 
 
@@ -150,9 +149,15 @@ def make_scorer_server(
     return _ScorerServer((host, port), _ScorerHandler, pair_scores=pair_scores)
 
 
+# how often serve_forever checks for shutdown; shutdown() waits up to this long
+_SHUTDOWN_POLL_S = 0.01
+
+
 def start_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
     """Serve in a daemon thread; callers shut the server down with
     ``server.shutdown()``."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": _SHUTDOWN_POLL_S}, daemon=True
+    )
     thread.start()
     return thread

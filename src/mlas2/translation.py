@@ -238,13 +238,12 @@ def cached_translate(
         translated = backend.translate_batch(
             TranslationRequest(tuple(missing), request.src, request.tgt)
         )
+        if len(translated) != len(missing):
+            raise TranslationError(
+                f"translator returned {len(translated)} texts for {len(missing)} inputs"
+            )
         cache.store_many(request.src, request.tgt, zip(missing, translated))
-    out = []
-    for text in request.texts:
-        value = cache.get(request.src, request.tgt, text)
-        assert value is not None
-        out.append(value)
-    return out
+    return [cache.get(request.src, request.tgt, text) for text in request.texts]
 
 
 class CachingTranslator(Translator):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,31 @@ def brute_force_retrieval(query, docs, k):
         dot = sum(q_vec[w] * v[w] for w in set(q_vec) & set(v))
         score = dot / (q_norm * norm) if norm and dot else 0.0
         scored.append((d.id, score))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [doc_id for doc_id, _ in scored[:k]]
+
+
+def full_sort_retrieval(query, corpus, k):
+    """Reference: the retrieval the postings-only top-k replaced. It scores
+    every document with the same float operations in the same order, then
+    sorts them all."""
+
+    def idf(term):
+        return math.log((corpus.num_docs + 1) / (len(corpus.postings(term)) + 1)) + 1.0
+
+    q_weights = {term: tf * idf(term) for term, tf in Counter(tokenize(query)).items()}
+    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+    dots = {}
+    for term, qw in q_weights.items():
+        for doc_id, tf in corpus.postings(term):
+            dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf(term)
+    scored = []
+    for doc in corpus.documents:
+        counts = Counter(tokenize(doc.text))
+        norm = math.sqrt(sum((tf * idf(term)) ** 2 for term, tf in counts.items()))
+        dot = dots.get(doc.id, 0.0)
+        score = dot / (q_norm * norm) if norm > 0.0 and dot != 0.0 else 0.0
+        scored.append((doc.id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [doc_id for doc_id, _ in scored[:k]]
 
@@ -127,6 +153,29 @@ def test_retrieval_matches_brute_force_oracle():
     for _ in range(10):
         query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
         assert retrieve_documents(query, corpus, 25) == brute_force_retrieval(query, docs, 25)
+
+
+_doc_text = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee", "f"]), max_size=12).map(
+    " ".join
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_doc_text, max_size=20),
+    st.lists(st.sampled_from(["a", "b", "cc", "zz"]), min_size=1, max_size=4).map(" ".join),
+    st.randoms(use_true_random=False),
+)
+def test_top_k_equals_full_sort(texts, query, rng):
+    """k below, at and above the number of matching documents, with ids that
+    are not in corpus order, gives exactly the full sort's list."""
+    ids = [f"d{i:02d}" for i in range(len(texts))]
+    rng.shuffle(ids)
+    corpus = DocumentCorpus([Document(i, t) for i, t in zip(ids, texts)])
+    q_terms = set(tokenize(query))
+    matching = sum(1 for t in texts if q_terms & set(tokenize(t)))
+    for k in sorted({1, max(1, matching - 1), max(1, matching), matching + 1, len(texts) + 2}):
+        assert retrieve_documents(query, corpus, k) == full_sort_retrieval(query, corpus, k)
 
 
 def test_empty_query_rejected():

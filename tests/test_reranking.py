@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ def brute_force_tfidf_cosine(q_text, t_text, corpus_texts):
     return 0.0 if nu == 0 or nv == 0 else dot / (nu * nv)
 
 
+def per_pair_lexical_score(q_text, t_text, table):
+    """Reference: the per-pair formula the shared core replaced (idf through
+    math.log on every lookup, both vectors and norms rebuilt for every pair),
+    without the [0, 1] clamp."""
+
+    def idf(term):
+        return math.log((table.num_docs + 1) / (table.df.get(term, 0) + 1)) + 1.0
+
+    def vector(text):
+        return {term: tf * idf(term) for term, tf in Counter(tokenize(text)).items()}
+
+    u, v = vector(q_text), vector(t_text)
+    nu = math.sqrt(sum(x * x for x in u.values()))
+    nv = math.sqrt(sum(x * x for x in v.values()))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if len(v) < len(u):
+        u, v = v, u
+    dot = sum(x * v[t] for t, x in u.items() if t in v)
+    return dot / (nu * nv)
+
+
 # ---------------------------------------------------------------------------
 # tokenization and lexical scoring
 # ---------------------------------------------------------------------------
@@ -69,6 +92,39 @@ def test_lexical_score_identical_and_disjoint():
     assert lexical_score("", "x", idf) == 0.0
 
 
+def test_identical_texts_score_exactly_one():
+    # sqrt(3) ** 2 < 3, so the unclamped cosine of this text with itself is
+    # 1.0000000000000002
+    idf = IdfTable.from_texts(["a b c"])
+    assert per_pair_lexical_score("a b c", "a b c", idf) > 1.0
+    assert lexical_score("a b c", "a b c", idf) == 1.0
+    assert LexicalScorer(idf).score_pairs([("a b c", "a b c")]) == [1.0]
+
+
+_words = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee", "f", "gg"]), max_size=8).map(
+    " ".join
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_words, max_size=6),
+    st.lists(_words, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), _words, st.booleans()), max_size=25),
+)
+def test_score_pairs_equals_per_pair_formula(corpus, questions, picks):
+    """Batches that repeat question texts (and hold self-pairs) score exactly
+    as the per-pair formula does, clamped to 1."""
+    idf = IdfTable.from_texts(corpus)
+    pairs = []
+    for i, text, self_pair in picks:
+        q = questions[i % len(questions)]
+        pairs.append((q, q if self_pair else text))
+    expected = [min(1.0, per_pair_lexical_score(q, t, idf)) for q, t in pairs]
+    assert LexicalScorer(idf).score_pairs(pairs) == expected
+    assert [lexical_score(q, t, idf) for q, t in pairs] == expected
+
+
 def test_idf_unseen_term_uses_zero_df():
     idf = IdfTable.from_texts(["a", "b", "c"])
     assert idf.idf("zzz") == pytest.approx(math.log(4.0) + 1.0)
@@ -86,7 +142,7 @@ def test_lexical_score_symmetric(a, b):
 def test_lexical_score_in_unit_interval(a, b):
     idf = IdfTable.from_texts(["a b", "c d"])
     s = lexical_score(a, b, idf)
-    assert -1e-12 <= s <= 1.0 + 1e-12
+    assert 0.0 <= s <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,19 @@ def test_scorer_server_lexical_mode_matches_local():
         pairs = [("what do cats chase", "cats chase mice"), ("what do cats chase", "the sun is a star")]
         got = RemoteScorer(url(server, "/score")).score_pairs(pairs)
         idf = IdfTable.from_texts(t for _, t in pairs)
-        assert got == [pytest.approx(lexical_score(q, t, idf)) for q, t in pairs]
+        assert got == [lexical_score(q, t, idf) for q, t in pairs]
         assert got[0] > got[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_scorer_server_lexical_mode_identical_texts_score_one():
+    # unclamped, this self-pair scores 1.0000000000000002 and the client
+    # rejects the server's own reply as out of range
+    server = scorer_server()
+    try:
+        assert RemoteScorer(url(server, "/score")).score_pairs([("a b c", "a b c")]) == [1.0]
     finally:
         server.shutdown()
         server.server_close()
@@ -214,6 +225,35 @@ def test_remote_scorer_rejects_out_of_range_scores():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _FixedReplySession:
+    """Stands in for ``requests.Session``: every POST gets a 200 with ``body``."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, *args, **kwargs):
+        body = self.body
+
+        class Reply:
+            status_code = 200
+            text = json.dumps(body)
+
+            def json(self):
+                return body
+
+        return Reply()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [[0.5], "scores", {"scores": [None]}, {"scores": ["x"]}, {"scores": [[0.5]]}, {}],
+)
+def test_remote_scorer_malformed_200_is_scoring_error(body):
+    scorer = RemoteScorer("http://scorer.invalid/score", session=_FixedReplySession(body))
+    with pytest.raises(ScoringError):
+        scorer.score_pairs([("q", "t")])
 
 
 def test_remote_scorer_dead_endpoint():

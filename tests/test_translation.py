@@ -9,6 +9,7 @@ from mlas2.translation import (
     CachingTranslator,
     MockTranslator,
     TranslationCache,
+    TranslationError,
     TranslationRequest,
     Translator,
     _batches,
@@ -107,6 +108,17 @@ def test_partial_hit_sends_only_misses(tmp_path):
     cached_translate(TranslationRequest(("one",), "en", "de"), backend, cache)
     cached_translate(TranslationRequest(("one", "two", "three"), "en", "de"), backend, cache)
     assert backend.texts_sent == 3  # 1 + the 2 misses
+
+
+def test_short_backend_reply_is_an_error_never_truncation(tmp_path):
+    class DropsLast(Translator):
+        def translate_batch(self, request):
+            return MockTranslator().translate_batch(request)[:-1]
+
+    cache = TranslationCache(tmp_path / "cache.jsonl")
+    with pytest.raises(TranslationError, match="1 texts for 2 inputs"):
+        cached_translate(TranslationRequest(("a", "b"), "en", "de"), DropsLast(), cache)
+    assert len(cache) == 0
 
 
 def test_cached_matches_uncached_oracle(tmp_path):
