@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
+from mlas2.dataset import (
+    AnswerCandidate,
+    Dataset,
+    DatasetFormatError,
+    Question,
+    QuestionGroup,
+    iter_jsonl,
+)
 from mlas2.reranking import IdfTable, Scorer, tokenize
 
 
@@ -82,16 +89,11 @@ def build_index(docs: Iterable[Document | dict]) -> DocumentCorpus:
 def load_corpus(path: str | Path) -> DocumentCorpus:
     """Load a JSONL corpus of ``{"id":str,"text":str}`` records."""
     docs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                docs.append(Document(str(rec["id"]), str(rec["text"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+    for where, rec in iter_jsonl(path):
+        try:
+            docs.append(Document(str(rec["id"]), str(rec["text"])))
+        except KeyError as exc:
+            raise DatasetFormatError(f"{where}: bad corpus record: missing {exc}") from exc
     return DocumentCorpus(docs)
 
 
@@ -222,22 +224,17 @@ def export_annotation_tasks(
 def load_gold_labels(path: str | Path) -> dict[tuple[str, str], int]:
     """Load gold annotations: JSONL ``{"qid":str,"cid":str,"label":0|1}``."""
     table: dict[tuple[str, str], int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                key = (str(rec["qid"]), str(rec["cid"]))
-                label = rec["label"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad gold record: {exc}") from exc
-            if isinstance(label, bool) or label not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            if key in table:
-                raise ValueError(f"{path}:{lineno}: duplicate gold label for {key!r}")
-            table[key] = label
+    for where, rec in iter_jsonl(path):
+        try:
+            key = (str(rec["qid"]), str(rec["cid"]))
+            label = rec["label"]
+        except KeyError as exc:
+            raise DatasetFormatError(f"{where}: bad gold record: missing {exc}") from exc
+        if isinstance(label, bool) or label not in (0, 1):
+            raise DatasetFormatError(f"{where}: label must be 0 or 1, got {label!r}")
+        if key in table:
+            raise DatasetFormatError(f"{where}: duplicate gold label for {key!r}")
+        table[key] = label
     return table
 
 
@@ -260,41 +257,35 @@ def import_annotations(
     questions: dict[str, Question] = {}
     grouped: dict[str, list[AnswerCandidate]] = {}
     seen: set[tuple[str, str]] = set()
-    with Path(tasks_path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{tasks_path}:{lineno}"
-            try:
-                rec = json.loads(line)
-                qid, cid = str(rec["qid"]), str(rec["cid"])
-                q_text, t_text = str(rec["q"]), str(rec["t"])
-                label = rec["label"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{where}: bad task record: {exc}") from exc
-            if (qid, cid) in seen:
-                raise ValueError(f"{where}: duplicate task for {(qid, cid)!r}")
-            seen.add((qid, cid))
-            if gold is not None:
-                if (qid, cid) not in gold:
-                    raise ValueError(f"{where}: no gold label for {(qid, cid)!r}")
-                label = gold[(qid, cid)]
-            if isinstance(label, bool) or label not in (0, 1):
-                raise ValueError(f"{where}: task for {(qid, cid)!r} is unlabeled")
-            if qid not in questions:
-                questions[qid] = Question(qid, qid, q_text, language, (language,))
-            full_cid = f"{qid}:{cid}"
-            grouped.setdefault(qid, []).append(
-                AnswerCandidate(
-                    id=full_cid,
-                    question_id=qid,
-                    origin_id=full_cid,
-                    text=t_text,
-                    label=label,
-                    language=language,
-                    provenance=(language,),
-                )
+    for where, rec in iter_jsonl(tasks_path):
+        try:
+            qid, cid = str(rec["qid"]), str(rec["cid"])
+            q_text, t_text = str(rec["q"]), str(rec["t"])
+            label = rec["label"]
+        except KeyError as exc:
+            raise DatasetFormatError(f"{where}: bad task record: missing {exc}") from exc
+        if (qid, cid) in seen:
+            raise DatasetFormatError(f"{where}: duplicate task for {(qid, cid)!r}")
+        seen.add((qid, cid))
+        if gold is not None:
+            if (qid, cid) not in gold:
+                raise DatasetFormatError(f"{where}: no gold label for {(qid, cid)!r}")
+            label = gold[(qid, cid)]
+        if isinstance(label, bool) or label not in (0, 1):
+            raise DatasetFormatError(f"{where}: task for {(qid, cid)!r} is unlabeled")
+        if qid not in questions:
+            questions[qid] = Question(qid, qid, q_text, language, (language,))
+        full_cid = f"{qid}:{cid}"
+        grouped.setdefault(qid, []).append(
+            AnswerCandidate(
+                id=full_cid,
+                question_id=qid,
+                origin_id=full_cid,
+                text=t_text,
+                label=label,
+                language=language,
+                provenance=(language,),
             )
+        )
     groups = tuple(QuestionGroup(q, tuple(grouped[qid])) for qid, q in questions.items())
     return Dataset(name, split, groups)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from mlas2.algebra import CompositionParseError, MixAlignmentError
 from mlas2.dataset import (
     DatasetFormatError,
     filter_answerable,
+    iter_jsonl,
     load_dataset,
     load_questions,
     save_dataset,
@@ -28,27 +28,16 @@ from mlas2.experiment import (
     TRANSLATOR_ENDPOINT_ENV,
     ExperimentConfig,
     ExperimentError,
+    ScorerSpec,
+    TranslatorSpec,
+    build_scorer,
+    build_translator,
     evaluate_dataset,
     run_experiment,
 )
 from mlas2.metrics import MetricsReport, delta_report, evaluate, judge, render_delta_table
-from mlas2.reranking import (
-    IdfTable,
-    LexicalScorer,
-    RemoteScorer,
-    Scorer,
-    ScoringError,
-    StaticScorer,
-    rank,
-)
-from mlas2.translation import (
-    CachingTranslator,
-    HttpTranslator,
-    MockTranslator,
-    TranslationCache,
-    TranslationError,
-    Translator,
-)
+from mlas2.reranking import IdfTable, LexicalScorer, Scorer, ScoringError, rank
+from mlas2.translation import TranslationError, Translator
 
 
 class UsageError(Exception):
@@ -65,35 +54,28 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
-def _translator_from_args(args) -> Translator:
-    if args.translator == "mock":
-        backend: Translator = MockTranslator()
-    else:
-        endpoint = args.endpoint or os.environ.get(TRANSLATOR_ENDPOINT_ENV)
-        if not endpoint:
-            raise UsageError(
-                f"--translator http needs --endpoint or ${TRANSLATOR_ENDPOINT_ENV}"
-            )
-        backend = HttpTranslator(endpoint)
-    if getattr(args, "cache", None):
-        return CachingTranslator(backend, TranslationCache(args.cache))
-    return backend
-
-
-def _scorer_from_args(args, dataset=None) -> Scorer:
-    if args.scorer == "lexical":
-        if dataset is None:
-            raise UsageError("lexical scorer needs a dataset")
-        return LexicalScorer.from_dataset(dataset)
-    if args.scorer == "remote":
-        if not args.endpoint:
-            raise UsageError("--scorer remote needs --endpoint")
-        return RemoteScorer(
-            args.endpoint, max_seq_len=args.max_seq_len, batch_size=args.batch_size
+def _translator(args) -> Translator:
+    """The translator the flags describe; an http translator with neither
+    --endpoint nor the environment variable is a usage error."""
+    try:
+        return build_translator(
+            TranslatorSpec(args.translator, endpoint=args.endpoint, cache_path=args.cache)
         )
-    if not args.scores:
-        raise UsageError("--scorer static needs --scores FILE")
-    return StaticScorer.from_jsonl(args.scores)
+    except ExperimentError as exc:
+        raise UsageError(f"mlas2: {exc}") from exc
+
+
+def _scorer(args, dataset=None) -> Scorer:
+    """The scorer the flags describe; a remote scorer without --endpoint or a
+    static one without --scores is a usage error."""
+    scores_path = getattr(args, "scores", None)  # `candidates build` has no --scores
+    try:
+        spec = ScorerSpec(
+            args.scorer, endpoint=args.endpoint, scores_path=scores_path, batch_size=args.batch_size
+        )
+    except ValueError as exc:
+        raise UsageError(f"mlas2: {exc}") from exc
+    return build_scorer(spec, dataset, max_seq_len=args.max_seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +98,7 @@ def cmd_dataset_validate(args) -> int:
 
 def cmd_dataset_transfer(args) -> int:
     d = load_dataset(args.dataset, args.split)
-    out = algebra.transfer(d, _translator_from_args(args), args.to)
+    out = algebra.transfer(d, _translator(args), args.to)
     save_dataset(out, args.out)
     _emit({"out": args.out, "groups": len(out.groups), "lang": args.to})
     return 0
@@ -143,7 +125,7 @@ def cmd_dataset_concat(args) -> int:
 def cmd_dataset_compose(args) -> int:
     plan = algebra.parse_composition(args.expr)
     source = load_dataset(args.source, args.split)
-    out = algebra.materialize(plan, source, _translator_from_args(args))
+    out = algebra.materialize(plan, source, _translator(args))
     save_dataset(out, args.out)
     _emit({"out": args.out, "groups": len(out.groups), "name": out.name})
     return 0
@@ -163,11 +145,7 @@ def cmd_candidates_build(args) -> int:
         ]
         scorer: Scorer = LexicalScorer(IdfTable.from_texts(sentences))
     else:
-        if not args.endpoint:
-            raise UsageError("--scorer remote needs --endpoint")
-        scorer = RemoteScorer(
-            args.endpoint, max_seq_len=args.max_seq_len, batch_size=args.batch_size
-        )
+        scorer = _scorer(args)
     tasks = []
     total = 0
     for question in questions:
@@ -200,7 +178,7 @@ def cmd_candidates_annotate(args) -> int:
 
 def cmd_rank(args) -> int:
     d = load_dataset(args.dataset, args.split)
-    scorer = _scorer_from_args(args, d)
+    scorer = _scorer(args, d)
     lines = []
     for group in d.groups:
         ranked = rank(group.question, group.candidates, scorer)
@@ -220,16 +198,11 @@ def cmd_rank(args) -> int:
 
 def _load_rankings(path: str) -> dict[str, list[tuple[str, float]]]:
     out: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out[str(rec["qid"])] = [(str(c), float(s)) for c, s in rec["ranking"]]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: bad ranking record: {exc}") from exc
+    for where, rec in iter_jsonl(path):
+        try:
+            out[str(rec["qid"])] = [(str(c), float(s)) for c, s in rec["ranking"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetFormatError(f"{where}: bad ranking record: {exc}") from exc
     return out
 
 
@@ -250,18 +223,15 @@ def cmd_evaluate(args) -> int:
             judged, test_set=name, num_excluded=len(d.groups) - len(answerable.groups)
         )
     else:
-        report = evaluate_dataset(d, _scorer_from_args(args, d), test_set=name)
+        report = evaluate_dataset(d, _scorer(args, d), test_set=name)
     _emit(report.to_json_dict())
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        base = MetricsReport(
-            test_set=raw["test"],
-            num_questions=raw["n"],
-            p_at_1=raw["p_at_1"],
-            map=raw["map"],
-            mrr=raw["mrr"],
-        )
+        try:
+            base = MetricsReport.from_json_dict(raw)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{args.baseline}: {exc}") from exc
         _emit(delta_report(base, report, baseline_name=base.test_set or args.baseline).to_json_dict())
     return 0
 

@@ -212,16 +212,14 @@ def _parse_candidate(rec: dict, where: str) -> AnswerCandidate:
         raise DatasetFormatError(f"{where}: {exc}") from exc
 
 
-def load_dataset(path: str | Path, split: str, name: str | None = None) -> Dataset:
-    """Load a JSONL dataset file, preserving record order.
+def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, record)`` for every nonblank line of a JSONL file, where
+    ``where`` is ``"path:line"``.
 
-    Raises DatasetFormatError (with the offending line number) on malformed
-    lines, duplicate ids, or candidates referencing unknown questions.
+    This is the one reader of the package's strict JSONL inputs: a line that is
+    not valid JSON or not a JSON object raises DatasetFormatError naming it.
     """
     p = Path(path)
-    questions: dict[str, Question] = {}
-    candidates: dict[str, list[AnswerCandidate]] = {}
-    cand_ids: set[str] = set()
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -234,20 +232,34 @@ def load_dataset(path: str | Path, split: str, name: str | None = None) -> Datas
                 raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(rec, dict):
                 raise DatasetFormatError(f"{where}: record must be a JSON object")
-            kind = rec.get("kind")
-            if kind == "q":
-                q = _parse_question(rec, where)
-                if q.id in questions:
-                    raise DatasetFormatError(f"{where}: duplicate question id {q.id!r}")
-                questions[q.id] = q
-            elif kind == "c":
-                c = _parse_candidate(rec, where)
-                if c.id in cand_ids:
-                    raise DatasetFormatError(f"{where}: duplicate candidate id {c.id!r}")
-                cand_ids.add(c.id)
-                candidates.setdefault(c.question_id, []).append(c)
-            else:
-                raise DatasetFormatError(f"{where}: unknown record kind {kind!r}")
+            yield where, rec
+
+
+def load_dataset(path: str | Path, split: str, name: str | None = None) -> Dataset:
+    """Load a JSONL dataset file, preserving record order.
+
+    Raises DatasetFormatError (with the offending line number) on malformed
+    lines, duplicate ids, or candidates referencing unknown questions.
+    """
+    p = Path(path)
+    questions: dict[str, Question] = {}
+    candidates: dict[str, list[AnswerCandidate]] = {}
+    cand_ids: set[str] = set()
+    for where, rec in iter_jsonl(p):
+        kind = rec.get("kind")
+        if kind == "q":
+            q = _parse_question(rec, where)
+            if q.id in questions:
+                raise DatasetFormatError(f"{where}: duplicate question id {q.id!r}")
+            questions[q.id] = q
+        elif kind == "c":
+            c = _parse_candidate(rec, where)
+            if c.id in cand_ids:
+                raise DatasetFormatError(f"{where}: duplicate candidate id {c.id!r}")
+            cand_ids.add(c.id)
+            candidates.setdefault(c.question_id, []).append(c)
+        else:
+            raise DatasetFormatError(f"{where}: unknown record kind {kind!r}")
     for qid in candidates:
         if qid not in questions:
             raise DatasetFormatError(f"{p}: candidate references unknown question id {qid!r}")
@@ -304,24 +316,14 @@ def fingerprint_dataset(d: Dataset) -> str:
 
 def load_questions(path: str | Path) -> list[Question]:
     """Load a JSONL file of question records only (candidate records rejected)."""
-    p = Path(path)
     out: list[Question] = []
     seen: set[str] = set()
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{p}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict) or rec.get("kind") != "q":
-                raise DatasetFormatError(f"{where}: expected a question record")
-            q = _parse_question(rec, where)
-            if q.id in seen:
-                raise DatasetFormatError(f"{where}: duplicate question id {q.id!r}")
-            seen.add(q.id)
-            out.append(q)
+    for where, rec in iter_jsonl(path):
+        if rec.get("kind") != "q":
+            raise DatasetFormatError(f"{where}: expected a question record")
+        q = _parse_question(rec, where)
+        if q.id in seen:
+            raise DatasetFormatError(f"{where}: duplicate question id {q.id!r}")
+        seen.add(q.id)
+        out.append(q)
     return out

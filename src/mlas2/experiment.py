@@ -332,17 +332,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunRecord":
-        reports = [
-            MetricsReport(
-                test_set=r["test"],
-                num_questions=r["n"],
-                p_at_1=r["p_at_1"],
-                map=r["map"],
-                mrr=r["mrr"],
-                num_excluded=r.get("n_excluded", 0),
-            )
-            for r in raw["reports"]
-        ]
+        reports = [MetricsReport.from_json_dict(r) for r in raw["reports"]]
         deltas = [DeltaReport(**d) for d in raw.get("deltas", [])]
         return cls(
             run_name=raw["run_name"],
@@ -367,8 +357,12 @@ class RunRecord:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
+        """Read a saved record; a malformed one raises ExperimentError naming the file."""
         with Path(path).open("r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ExperimentError(f"{path}: bad run record: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

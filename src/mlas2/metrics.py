@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from mlas2.dataset import QuestionGroup
+from mlas2.dataset import DatasetFormatError, QuestionGroup
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,32 @@ class MetricsReport:
             "map": self.map,
             "mrr": self.mrr,
         }
+
+    @classmethod
+    def from_json_dict(cls, raw) -> "MetricsReport":
+        """Inverse of ``to_json_dict``; also reads the optional ``n_excluded``
+        count that run records add. Raises DatasetFormatError when ``raw`` is
+        not an object, lacks a key, or holds a value of the wrong type."""
+        if not isinstance(raw, dict):
+            raise DatasetFormatError(f"metrics report must be a JSON object, got {raw!r}")
+        raw = {"n_excluded": 0, **raw}
+        number = (int, float)
+        for key, types in (
+            ("test", str), ("n", int), ("p_at_1", number), ("map", number),
+            ("mrr", number), ("n_excluded", int),
+        ):
+            if key not in raw:
+                raise DatasetFormatError(f"metrics report is missing {key!r}")
+            if isinstance(raw[key], bool) or not isinstance(raw[key], types):
+                raise DatasetFormatError(f"metrics report has a bad {key!r}: {raw[key]!r}")
+        return cls(
+            test_set=raw["test"],
+            num_questions=raw["n"],
+            p_at_1=raw["p_at_1"],
+            map=raw["map"],
+            mrr=raw["mrr"],
+            num_excluded=raw["n_excluded"],
+        )
 
 
 def evaluate(

@@ -9,7 +9,6 @@ head applied to externally produced embeddings.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from abc import ABC, abstractmethod
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
-from mlas2.dataset import AnswerCandidate, Dataset, Question
+from mlas2.dataset import AnswerCandidate, Dataset, DatasetFormatError, Question, iter_jsonl
 
 
 class ScoringError(RuntimeError):
@@ -171,16 +170,11 @@ class StaticScorer(Scorer):
     def from_jsonl(cls, path: str | Path) -> "StaticScorer":
         """Load a JSONL file of ``{"qid":str,"cid":str,"score":float}`` records."""
         table: dict[tuple[str, str], float] = {}
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    table[(str(rec["qid"]), str(rec["cid"]))] = float(rec["score"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ScoringError(f"{path}:{lineno}: bad score record: {exc}") from exc
+        for where, rec in iter_jsonl(path):
+            try:
+                table[(str(rec["qid"]), str(rec["cid"]))] = float(rec["score"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetFormatError(f"{where}: bad score record: {exc}") from exc
         return cls(table)
 
     def score_candidates(
@@ -286,9 +280,6 @@ class LinearHead:
     @property
     def num_classes(self) -> int:
         return self.weights.shape[1]
-
-    def apply(self, x) -> float:
-        return linear_head_apply(x, self)
 
 
 def linear_head_apply(x, head: LinearHead) -> float:

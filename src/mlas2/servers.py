@@ -12,6 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from mlas2.dataset import DatasetFormatError, iter_jsonl
 from mlas2.reranking import IdfTable, LexicalScorer
 from mlas2.translation import mock_translate
 
@@ -19,16 +20,11 @@ from mlas2.translation import mock_translate
 def load_pair_scores(path: str | Path) -> dict[tuple[str, str], float]:
     """Static score table for the mock scorer: JSONL ``{"q","t","score"}``."""
     table: dict[tuple[str, str], float] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                table[(str(rec["q"]), str(rec["t"]))] = float(rec["score"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad pair-score record: {exc}") from exc
+    for where, rec in iter_jsonl(path):
+        try:
+            table[(str(rec["q"]), str(rec["t"]))] = float(rec["score"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetFormatError(f"{where}: bad pair-score record: {exc}") from exc
     return table
 
 

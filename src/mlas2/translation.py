@@ -46,9 +46,6 @@ class Translator(ABC):
     def translate_batch(self, request: TranslationRequest) -> list[str]:
         ...
 
-    def translate_texts(self, texts: Sequence[str], src: str, tgt: str) -> list[str]:
-        return self.translate_batch(TranslationRequest(tuple(texts), src, tgt))
-
 
 # ---------------------------------------------------------------------------
 # deterministic mock
@@ -153,15 +150,19 @@ class HttpTranslator(Translator):
                     f"translator returned {resp.status_code}: {resp.text[:200]}"
                 )
             try:
-                texts = resp.json().get("texts")
+                body = resp.json()
             except ValueError as exc:
                 raise TranslationError(f"translator returned invalid JSON: {exc}") from exc
+            texts = body.get("texts") if isinstance(body, dict) else None
             if not isinstance(texts, list) or len(texts) != len(batch):
                 got = len(texts) if isinstance(texts, list) else "no"
                 raise TranslationError(
                     f"translator returned {got} texts for {len(batch)} inputs"
                 )
-            return [str(t) for t in texts]
+            for text in texts:
+                if not isinstance(text, str):
+                    raise TranslationError(f"translator returned a non-string text: {text!r}")
+            return texts
         assert last_error is not None
         raise last_error
 

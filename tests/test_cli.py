@@ -5,7 +5,7 @@ import pytest
 from conftest import make_dataset, make_group
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
-from test_dataset import write_fixture
+from test_dataset import FIXTURE_LINES, write_fixture
 
 
 @pytest.fixture
@@ -150,7 +150,9 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
     assert "bad.jsonl:1" in err
 
 
-def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path):
+def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("mlas2.translation.time.sleep", sleeps.append)
     code, _, err = run(
         capsys,
         "dataset", "transfer", fixture_path,
@@ -161,6 +163,31 @@ def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path):
     )
     assert code == 2
     assert "unreachable" in err
+    # the default backoff: three attempts, waiting 0.5 s then 1.0 s
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "{data}", "--scorer", "remote"],
+        ["rank", "{data}", "--scorer", "static"],
+        ["dataset", "transfer", "{data}", "--to", "de", "--translator", "http", "--out", "{out}"],
+        ["candidates", "build", "--corpus", "{corpus}", "--questions", "{questions}",
+         "--out", "{out}", "--scorer", "remote"],
+    ],
+    ids=["rank-remote", "rank-static", "transfer-http", "candidates-remote"],
+)
+def test_backend_flags_missing_exit_1(capsys, fixture_path, tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("MLAS2_TRANSLATOR_ENDPOINT", raising=False)
+    corpus, questions = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    corpus.write_text(json.dumps({"id": "d1", "text": "Cats chase mice."}) + "\n")
+    write_fixture(questions, [FIXTURE_LINES[0]])
+    paths = {"data": fixture_path, "corpus": corpus, "questions": questions}
+    argv = [a.format(out=tmp_path / "out.jsonl", **paths) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
 
 
 def test_help_exits_0(capsys):
@@ -252,6 +279,26 @@ def test_evaluate_with_baseline_reports_delta(capsys, fixture_path, tmp_path):
     lines = out.splitlines()
     delta = json.loads(lines[1])
     assert (delta["p_at_1_pct"], delta["map_pct"], delta["mrr_pct"]) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "baseline",
+    [
+        {"test": "x", "n": 3},
+        [1, 2],
+        {"test": "x", "n": 3, "p_at_1": 0.5, "map": "high", "mrr": 0.5},
+        {"test": "x", "n": 3, "p_at_1": None, "map": 0.5, "mrr": 0.5},
+    ],
+    ids=["missing-key", "list-body", "string-metric", "null-metric"],
+)
+def test_evaluate_malformed_baseline_exits_2(capsys, fixture_path, tmp_path, baseline):
+    base_path = tmp_path / "baseline.json"
+    base_path.write_text(json.dumps(baseline))
+    code, _, err = run(
+        capsys, "evaluate", fixture_path, "--scorer", "lexical", "--baseline", base_path
+    )
+    assert code == 2
+    assert "baseline.json" in err and "metrics report" in err
 
 
 # ---------------------------------------------------------------------------

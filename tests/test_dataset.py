@@ -23,6 +23,10 @@ from mlas2.dataset import (
 )
 
 from conftest import make_candidate, make_dataset, make_group, make_question
+from mlas2.candidates import import_annotations, load_corpus, load_gold_labels
+from mlas2.cli import _load_rankings
+from mlas2.reranking import StaticScorer
+from mlas2.servers import load_pair_scores
 
 FIXTURE_LINES = [
     {"kind": "q", "id": "q1", "origin_id": "q1", "text": "what color is the sky", "lang": "en", "prov": ["en"]},
@@ -117,6 +121,32 @@ def test_load_reports_line_numbers(tmp_path):
     path.write_text('{"kind":"q","id":"q1"\n')
     with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:1"):
         load_dataset(path, "train")
+
+
+# each JSONL loader with a valid first record of its own format
+LOADERS = {
+    "load_dataset": (lambda path: load_dataset(path, "train"), FIXTURE_LINES[0]),
+    "load_questions": (load_questions, FIXTURE_LINES[0]),
+    "load_corpus": (load_corpus, {"id": "d1", "text": "a b"}),
+    "load_gold_labels": (load_gold_labels, {"qid": "q1", "cid": "c1", "label": 1}),
+    "import_annotations": (
+        lambda path: import_annotations(path, name="x"),
+        {"qid": "q1", "cid": "c1", "q": "q", "t": "t", "label": 1},
+    ),
+    "static_scores": (StaticScorer.from_jsonl, {"qid": "q1", "cid": "c1", "score": 0.5}),
+    "load_pair_scores": (load_pair_scores, {"q": "q", "t": "t", "score": 0.5}),
+    "load_rankings": (lambda path: _load_rankings(str(path)), {"qid": "q1", "ranking": []}),
+}
+
+
+@pytest.mark.parametrize("bad_line", ["{broken", "[1]"], ids=["invalid-json", "not-object"])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_every_loader_names_the_bad_line(tmp_path, name, bad_line):
+    loader, first = LOADERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(json.dumps(first) + "\n" + bad_line + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"{name}\.jsonl:2: "):
+        loader(path)
 
 
 def test_load_rejects_duplicate_question_id(tmp_path):

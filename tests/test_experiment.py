@@ -244,6 +244,27 @@ def test_run_experiment_missing_baseline(tmp_path):
         run_experiment(config)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"run_name": "b", "reports": [{"test": "En"}]},
+        {"run_name": "b"},
+        [1, 2],
+    ],
+    ids=["report-missing-n", "no-reports", "list-body"],
+)
+def test_run_experiment_malformed_baseline_is_experiment_error(tmp_path, record):
+    _, src = setup_sources(tmp_path)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "b.json").write_text(json.dumps(record))
+    config = ExperimentConfig.from_json(write_config(tmp_path, baseline_run="b"))
+    with pytest.raises(ExperimentError, match="b.json: "):
+        run_experiment(config, results_dir=runs)
+    with pytest.raises(ExperimentError, match="b.json: "):
+        RunRecord.load(runs / "b.json")
+
+
 def test_run_experiment_materializes_compositions(tmp_path):
     d, src = setup_sources(tmp_path)
     config = ExperimentConfig.from_json(write_config(tmp_path, test_exprs=["En+De"]))

@@ -192,7 +192,7 @@ def test_head_shift_invariance():
 
 def test_head_more_classes():
     head = LinearHead(np.zeros((2, 3)), [0.0, 0.0, 0.0])
-    assert head.apply([1.0, 1.0]) == pytest.approx(1.0 / 3.0)
+    assert linear_head_apply([1.0, 1.0], head) == pytest.approx(1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from mlas2.servers import (
     make_translator_server,
     start_in_thread,
 )
-from mlas2.translation import HttpTranslator, TranslationError
+from mlas2.translation import HttpTranslator, TranslationError, TranslationRequest
 
 
 @pytest.fixture
@@ -38,14 +38,15 @@ def url(server, path):
 
 def test_http_translator_round_trip(translator_server):
     client = HttpTranslator(url(translator_server, "/translate"))
-    out = client.translate_texts(["hello world", "again"], "en", "de")
+    out = client.translate_batch(TranslationRequest(["hello world", "again"], "en", "de"))
     assert out == ["de:hello de:world", "de:again"]
 
 
 def test_http_translator_batches_requests(translator_server):
     client = HttpTranslator(url(translator_server, "/translate"), max_texts_per_request=50)
     before = translator_server.request_count
-    out = client.translate_texts([f"text {i}" for i in range(120)], "en", "de")
+    texts = [f"text {i}" for i in range(120)]
+    out = client.translate_batch(TranslationRequest(texts, "en", "de"))
     assert len(out) == 120
     assert translator_server.request_count - before == 3
 
@@ -55,7 +56,7 @@ def test_http_translator_respects_char_limit(translator_server):
         url(translator_server, "/translate"), max_chars_per_request=4000
     )
     before = translator_server.request_count
-    client.translate_texts(["a" * 1500] * 4, "en", "de")
+    client.translate_batch(TranslationRequest(["a" * 1500] * 4, "en", "de"))
     assert translator_server.request_count - before == 2
 
 
@@ -63,14 +64,14 @@ def test_http_translator_4xx_fails_fast(translator_server):
     client = HttpTranslator(url(translator_server, "/nowhere"), backoff=0.01)
     before = translator_server.request_count
     with pytest.raises(TranslationError, match="404"):
-        client.translate_texts(["x"], "en", "de")
+        client.translate_batch(TranslationRequest(["x"], "en", "de"))
     assert translator_server.request_count - before == 1
 
 
 def test_http_translator_dead_endpoint():
     client = HttpTranslator("http://127.0.0.1:1/translate", attempts=2, backoff=0.01, timeout=1)
     with pytest.raises(TranslationError, match="unreachable"):
-        client.translate_texts(["x"], "en", "de")
+        client.translate_batch(TranslationRequest(["x"], "en", "de"))
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
@@ -99,10 +100,10 @@ def test_http_translator_retries_5xx():
         client = HttpTranslator(
             f"http://127.0.0.1:{server.server_port}/translate", attempts=3, backoff=0.01
         )
-        assert client.translate_texts(["x"], "en", "de") == ["ok:x"]
+        assert client.translate_batch(TranslationRequest(["x"], "en", "de")) == ["ok:x"]
         server.failures_left = 3  # more failures than attempts
         with pytest.raises(TranslationError, match="503"):
-            client.translate_texts(["x"], "en", "de")
+            client.translate_batch(TranslationRequest(["x"], "en", "de"))
     finally:
         server.shutdown()
         server.server_close()
@@ -127,7 +128,7 @@ def test_wrong_count_is_an_error_never_truncation():
     try:
         endpoint = f"http://127.0.0.1:{server.server_port}/x"
         with pytest.raises(TranslationError, match="1 texts for 2 inputs"):
-            HttpTranslator(endpoint).translate_texts(["a", "b"], "en", "de")
+            HttpTranslator(endpoint).translate_batch(TranslationRequest(["a", "b"], "en", "de"))
         with pytest.raises(ScoringError, match="1 scores for 2 pairs"):
             RemoteScorer(endpoint).score_pairs([("q", "a"), ("q", "b")])
     finally:
@@ -254,6 +255,16 @@ def test_remote_scorer_malformed_200_is_scoring_error(body):
     scorer = RemoteScorer("http://scorer.invalid/score", session=_FixedReplySession(body))
     with pytest.raises(ScoringError):
         scorer.score_pairs([("q", "t")])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [["x"], "texts", {"texts": [None]}, {"texts": [1]}, {"texts": [["x"]]}, {}],
+)
+def test_http_translator_malformed_200_is_translation_error(body):
+    client = HttpTranslator("http://translator.invalid/translate", session=_FixedReplySession(body))
+    with pytest.raises(TranslationError):
+        client.translate_batch(TranslationRequest(["x"], "en", "de"))
 
 
 def test_remote_scorer_dead_endpoint():

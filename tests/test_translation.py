@@ -48,9 +48,11 @@ def test_mock_translate_collapses_whitespace():
 
 def test_translate_batch_contract():
     mock = MockTranslator()
-    assert mock.translate_texts(["hello world"], "en", "de") == ["de:hello de:world"]
-    assert mock.translate_texts(["de:hello de:world"], "de", "en") == ["hello world"]
-    assert mock.translate_texts([], "en", "de") == []
+    there = TranslationRequest(["hello world"], "en", "de")
+    back = TranslationRequest(["de:hello de:world"], "de", "en")
+    assert mock.translate_batch(there) == ["de:hello de:world"]
+    assert mock.translate_batch(back) == ["hello world"]
+    assert mock.translate_batch(TranslationRequest([], "en", "de")) == []
 
 
 def test_request_rejects_same_language():
