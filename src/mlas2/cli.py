@@ -263,11 +263,9 @@ def cmd_serve(args) -> int:
     if args.service == "mock-scorer":
         pair_scores = servers.load_pair_scores(args.scores) if args.scores else None
         server = servers.make_scorer_server(args.port, pair_scores=pair_scores)
-        path = "/score"
     else:
         server = servers.make_translator_server(args.port)
-        path = "/translate"
-    _emit({"listening": server.server_port, "path": path})
+    _emit({"listening": server.server_port, "path": server.RequestHandlerClass.path_served})
     sys.stdout.flush()
     try:
         server.serve_forever()

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from mlas2.algebra import materialize, parse_composition
+from mlas2.algebra import CompositionParseError, materialize, parse_composition
 from mlas2.dataset import Dataset, filter_answerable, fingerprint_dataset, load_dataset
 from mlas2.metrics import (
     DeltaReport,
@@ -120,21 +121,21 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         """Load a config file; relative paths resolve against its directory."""
         p = Path(path)
-        with p.open("r", encoding="utf-8") as fh:
-            raw = json.load(fh)
 
         def resolve(value: str | None) -> str | None:
-            if value is None:
-                return None
-            q = Path(value)
-            return str(q if q.is_absolute() else (p.parent / q))
+            # joining keeps an absolute value as it is
+            return None if value is None else str(p.parent / value)
 
-        source = raw.get("source", {})
-        scorer_raw = dict(raw.get("scorer", {}))
-        scorer_raw["scores_path"] = resolve(scorer_raw.get("scores_path"))
-        translator_raw = dict(raw.get("translator", {"kind": "mock"}))
-        translator_raw["cache_path"] = resolve(translator_raw.get("cache_path"))
         try:
+            with p.open("r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+            source = raw.get("source", {})
+            scorer_raw = dict(raw.get("scorer", {}))
+            scorer_raw["scores_path"] = resolve(scorer_raw.get("scores_path"))
+            translator_raw = dict(raw.get("translator", {"kind": "mock"}))
+            translator_raw["cache_path"] = resolve(translator_raw.get("cache_path"))
             return cls(
                 run_name=str(raw["run_name"]),
                 pretrained_label=str(raw.get("pretrained_label", "")),
@@ -151,7 +152,9 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ExperimentError(f"{p}: missing config field {exc}") from exc
-        except TypeError as exc:
+        except CompositionParseError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ExperimentError(f"{p}: bad config: {exc}") from exc
 
 
@@ -228,22 +231,24 @@ def early_stop_loop(
     """Train up to ``max_iterations``, evaluating dev MAP after every
     iteration (the first included). The loop stops as soon as dev MAP fails to
     strictly improve on the best seen — ties stop — and returns the earliest
-    best iteration (1-based)."""
+    best iteration (1-based). A NaN or infinite dev MAP raises
+    ``ExperimentError``."""
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     dev_maps: list[float] = []
-    best_iteration = 0
     best_map = float("-inf")
-    best_scorer: Scorer | None = None
     for iteration in range(1, max_iterations + 1):
         scorer = trainer.train_one_iteration()
         dev_map = evaluate_dev(scorer)
+        if not math.isfinite(dev_map):
+            raise ExperimentError(
+                f"dev MAP at iteration {iteration} is {dev_map}, not a finite number"
+            )
         dev_maps.append(dev_map)
         if dev_map > best_map:
             best_iteration, best_map, best_scorer = iteration, dev_map, scorer
         else:
             break
-    assert best_scorer is not None
     return EarlyStopResult(best_iteration, best_map, dev_maps, best_scorer)
 
 

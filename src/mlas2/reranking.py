@@ -20,6 +20,7 @@ import numpy as np
 import requests
 
 from mlas2.dataset import AnswerCandidate, Dataset, DatasetFormatError, Question, iter_jsonl
+from mlas2.wire import post_json
 
 
 class ScoringError(RuntimeError):
@@ -194,9 +195,9 @@ class RemoteScorer(TextPairScorer):
 
     Request: ``{"max_seq_len":int,"pairs":[{"q":str,"t":str},...]}``;
     response: ``{"scores":[float,...]}`` with status 200. Pairs are sent in
-    chunks of ``batch_size``; responses are validated (count, range) and
-    reassembled in input order — a short response is an error, never a
-    silent truncation.
+    chunks of ``batch_size``; responses are validated (count, JSON number,
+    range) and reassembled in input order — a short response is an error,
+    never a silent truncation.
     """
 
     def __init__(
@@ -205,13 +206,11 @@ class RemoteScorer(TextPairScorer):
         *,
         max_seq_len: int = 128,
         batch_size: int = 128,
-        timeout: float = 30.0,
         session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint
         self.max_seq_len = max_seq_len
         self.batch_size = batch_size
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
@@ -221,33 +220,26 @@ class RemoteScorer(TextPairScorer):
         return out
 
     def _send(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        payload = {
-            "max_seq_len": self.max_seq_len,
-            "pairs": [{"q": q, "t": t} for q, t in pairs],
-        }
-        try:
-            resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ScoringError(f"scorer unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ScoringError(f"scorer returned {resp.status_code}: {resp.text[:200]}")
-        try:
-            body = resp.json()
-        except ValueError as exc:
-            raise ScoringError(f"scorer returned invalid JSON: {exc}") from exc
-        scores = body.get("scores") if isinstance(body, dict) else None
+        body = post_json(
+            self._session,
+            self.endpoint,
+            {"max_seq_len": self.max_seq_len, "pairs": [{"q": q, "t": t} for q, t in pairs]},
+            error=ScoringError,
+            service="scorer",
+        )
+        scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(pairs):
             got = len(scores) if isinstance(scores, list) else "no"
             raise ScoringError(f"scorer returned {got} scores for {len(pairs)} pairs")
         out = []
         for s in scores:
-            try:
-                value = float(s)
-            except (TypeError, ValueError) as exc:
-                raise ScoringError(f"scorer returned a non-numeric score: {s!r}") from exc
-            if not 0.0 <= value <= 1.0:
-                raise ScoringError(f"scorer returned score outside [0, 1]: {value}")
-            out.append(value)
+            # a JSON number only: no numeric strings, and true/false are not numbers
+            if not isinstance(s, (int, float)) or isinstance(s, bool):
+                raise ScoringError(f"scorer returned a non-numeric score: {s!r}")
+            # compared before float(), which overflows on a huge JSON integer
+            if not 0 <= s <= 1:
+                raise ScoringError(f"scorer returned score outside [0, 1]: {s}")
+            out.append(float(s))
         return out
 
 

@@ -42,22 +42,15 @@ class _CountingServer(ThreadingHTTPServer):
 
 
 class _JsonHandler(BaseHTTPRequestHandler):
+    """The mock services' one POST path: count the request, check ``path_served``,
+    parse a JSON object body, and reply with ``answer(body) -> (status, payload)``."""
+
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
-    def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length", 0))
-        try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._reply(400, {"error": "invalid JSON body"})
-            return None
-        if not isinstance(body, dict):
-            self._reply(400, {"error": "body must be a JSON object"})
-            return None
-        return body
-
-    def _reply(self, status: int, payload: dict) -> None:
+    def do_POST(self) -> None:
+        self.server.count_request()
+        status, payload = self._route()
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -65,28 +58,34 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def _route(self) -> tuple[int, dict]:
+        if self.path != self.path_served:
+            return 404, {"error": f"unknown path {self.path}"}
+        try:
+            # a negative length would make read() wait for the client to close
+            length = max(0, int(self.headers.get("Content-Length", 0)))
+            body = json.loads(self.rfile.read(length).decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            return 400, {"error": "invalid JSON body"}
+        if not isinstance(body, dict):
+            return 400, {"error": "body must be a JSON object"}
+        return self.answer(body)
+
 
 # ---------------------------------------------------------------------------
 # mock translator service
 # ---------------------------------------------------------------------------
 
 class _TranslatorHandler(_JsonHandler):
-    def do_POST(self) -> None:
-        self.server.count_request()
-        if self.path != "/translate":
-            self._reply(404, {"error": f"unknown path {self.path}"})
-            return
-        body = self._read_json()
-        if body is None:
-            return
+    path_served = "/translate"
+
+    def answer(self, body: dict) -> tuple[int, dict]:
         src, tgt, texts = body.get("src"), body.get("tgt"), body.get("texts")
         if not isinstance(src, str) or not isinstance(tgt, str) or not isinstance(texts, list):
-            self._reply(400, {"error": "expected src, tgt, and texts"})
-            return
+            return 400, {"error": "expected src, tgt, and texts"}
         if src == tgt:
-            self._reply(400, {"error": "src and tgt must differ"})
-            return
-        self._reply(200, {"texts": [mock_translate(str(t), src, tgt) for t in texts]})
+            return 400, {"error": "src and tgt must differ"}
+        return 200, {"texts": [mock_translate(str(t), src, tgt) for t in texts]}
 
 
 def make_translator_server(port: int = 0, host: str = "127.0.0.1") -> _CountingServer:
@@ -99,33 +98,24 @@ def make_translator_server(port: int = 0, host: str = "127.0.0.1") -> _CountingS
 # ---------------------------------------------------------------------------
 
 class _ScorerHandler(_JsonHandler):
-    def do_POST(self) -> None:
-        self.server.count_request()
-        if self.path != "/score":
-            self._reply(404, {"error": f"unknown path {self.path}"})
-            return
-        body = self._read_json()
-        if body is None:
-            return
+    path_served = "/score"
+
+    def answer(self, body: dict) -> tuple[int, dict]:
         pairs = body.get("pairs")
         if not isinstance(pairs, list) or not all(
             isinstance(p, dict) and "q" in p and "t" in p for p in pairs
         ):
-            self._reply(400, {"error": "expected pairs of {q, t}"})
-            return
+            return 400, {"error": "expected pairs of {q, t}"}
         qt = [(str(p["q"]), str(p["t"])) for p in pairs]
         table = self.server.pair_scores
-        if table is not None:
-            scores = []
-            for key in qt:
-                if key not in table:
-                    self._reply(400, {"error": f"no score for pair {key!r}"})
-                    return
-                scores.append(table[key])
-        else:
+        if table is None:
             # zero-config mode: tf-idf over the candidate texts of this request
-            scores = LexicalScorer(IdfTable.from_texts(t for _, t in qt)).score_pairs(qt)
-        self._reply(200, {"scores": scores})
+            scorer = LexicalScorer(IdfTable.from_texts(t for _, t in qt))
+            return 200, {"scores": scorer.score_pairs(qt)}
+        missing = next((key for key in qt if key not in table), None)
+        if missing is not None:
+            return 400, {"error": f"no score for pair {missing!r}"}
+        return 200, {"scores": [table[key] for key in qt]}
 
 
 class _ScorerServer(_CountingServer):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import requests
 
 from mlas2.dataset import validate_language
+from mlas2.wire import post_json
 
 
 class TranslationError(RuntimeError):
@@ -77,15 +77,18 @@ class MockTranslator(Translator):
 # HTTP client
 # ---------------------------------------------------------------------------
 
-def _batches(
-    texts: Sequence[str], max_texts: int, max_chars: int
-) -> Iterator[list[str]]:
-    """Greedy packing: at most max_texts texts or max_chars characters per
-    request, whichever limit hits first; an oversized single text travels alone."""
+MAX_TEXTS_PER_REQUEST = 50
+MAX_CHARS_PER_REQUEST = 4000
+
+
+def _batches(texts: Sequence[str]) -> Iterator[list[str]]:
+    """Greedy packing under the two limits above, whichever hits first; an
+    oversized single text travels alone."""
     batch: list[str] = []
     chars = 0
     for text in texts:
-        if batch and (len(batch) >= max_texts or chars + len(text) > max_chars):
+        full = len(batch) >= MAX_TEXTS_PER_REQUEST
+        if batch and (full or chars + len(text) > MAX_CHARS_PER_REQUEST):
             yield batch
             batch, chars = [], 0
         batch.append(text)
@@ -95,76 +98,35 @@ def _batches(
 
 
 class HttpTranslator(Translator):
-    """Client for the JSON translation protocol with conservative retries.
+    """Client for the JSON translation protocol; texts travel in batches packed
+    by ``_batches``, and retries and errors follow ``mlas2.wire.post_json``."""
 
-    Transport failures and 5xx responses are retried with exponential backoff
-    (``attempts`` total tries per batch); 4xx responses and malformed payloads
-    fail immediately.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        max_texts_per_request: int = 50,
-        max_chars_per_request: int = 4000,
-        attempts: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 30.0,
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, endpoint: str, *, session: requests.Session | None = None) -> None:
         self.endpoint = endpoint
-        self.max_texts_per_request = max_texts_per_request
-        self.max_chars_per_request = max_chars_per_request
-        self.attempts = attempts
-        self.backoff = backoff
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def translate_batch(self, request: TranslationRequest) -> list[str]:
         out: list[str] = []
-        for batch in _batches(
-            request.texts, self.max_texts_per_request, self.max_chars_per_request
-        ):
+        for batch in _batches(request.texts):
             out.extend(self._send(batch, request.src, request.tgt))
         return out
 
     def _send(self, batch: list[str], src: str, tgt: str) -> list[str]:
-        payload = {"src": src, "tgt": tgt, "texts": batch}
-        last_error: TranslationError | None = None
-        for attempt in range(self.attempts):
-            if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
-            try:
-                resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = TranslationError(f"translator unreachable: {exc}")
-                continue
-            if resp.status_code >= 500:
-                last_error = TranslationError(
-                    f"translator returned {resp.status_code}: {resp.text[:200]}"
-                )
-                continue
-            if resp.status_code != 200:
-                raise TranslationError(
-                    f"translator returned {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                body = resp.json()
-            except ValueError as exc:
-                raise TranslationError(f"translator returned invalid JSON: {exc}") from exc
-            texts = body.get("texts") if isinstance(body, dict) else None
-            if not isinstance(texts, list) or len(texts) != len(batch):
-                got = len(texts) if isinstance(texts, list) else "no"
-                raise TranslationError(
-                    f"translator returned {got} texts for {len(batch)} inputs"
-                )
-            for text in texts:
-                if not isinstance(text, str):
-                    raise TranslationError(f"translator returned a non-string text: {text!r}")
-            return texts
-        assert last_error is not None
-        raise last_error
+        body = post_json(
+            self._session,
+            self.endpoint,
+            {"src": src, "tgt": tgt, "texts": batch},
+            error=TranslationError,
+            service="translator",
+        )
+        texts = body.get("texts")
+        if not isinstance(texts, list) or len(texts) != len(batch):
+            got = len(texts) if isinstance(texts, list) else "no"
+            raise TranslationError(f"translator returned {got} texts for {len(batch)} inputs")
+        for text in texts:
+            if not isinstance(text, str):
+                raise TranslationError(f"translator returned a non-string text: {text!r}")
+        return texts
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,51 @@
+"""The one JSON-POST client behind the HTTP translator and the remote scorer.
+
+Policy: up to ``ATTEMPTS`` tries per request. Transport failures and 5xx
+responses are retried after ``BACKOFF_S`` seconds, doubling each time; any
+other non-200 status, invalid JSON, or a body that is not a JSON object fails
+at once. Every failure is raised as the caller's typed ``error``, with the
+``service`` name in its message.
+"""
+
+from __future__ import annotations
+
+import time
+
+import requests
+
+ATTEMPTS = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 30.0
+
+
+def post_json(
+    session: requests.Session,
+    endpoint: str,
+    payload: dict,
+    *,
+    error: type[Exception],
+    service: str,
+) -> dict:
+    """POST ``payload``; return the reply's JSON object or raise ``error``."""
+    for attempt in range(ATTEMPTS):
+        if attempt:
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
+        try:
+            resp = session.post(endpoint, json=payload, timeout=TIMEOUT_S)
+        except requests.RequestException as exc:
+            failure = error(f"{service} unreachable: {exc}")
+            continue
+        if resp.status_code == 200:
+            break
+        failure = error(f"{service} returned {resp.status_code}: {resp.text[:200]}")
+        if resp.status_code < 500:
+            raise failure
+    else:
+        raise failure
+    try:
+        body = resp.json()
+    except ValueError as exc:
+        raise error(f"{service} returned invalid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise error(f"{service} returned a JSON {type(body).__name__}, not an object")
+    return body

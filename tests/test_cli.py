@@ -152,7 +152,7 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
 
 def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path, monkeypatch):
     sleeps = []
-    monkeypatch.setattr("mlas2.translation.time.sleep", sleeps.append)
+    monkeypatch.setattr("mlas2.wire.time.sleep", sleeps.append)
     code, _, err = run(
         capsys,
         "dataset", "transfer", fixture_path,

@@ -57,6 +57,15 @@ def test_early_stop_rejects_bad_max_iterations():
         early_stop_loop(ScriptedTrainer([0.5]), scripted_dev_map, max_iterations=0)
 
 
+@pytest.mark.parametrize(
+    "maps,bad_iteration",
+    [([float("nan")], 1), ([0.5, float("nan")], 2), ([0.5, float("inf")], 2)],
+)
+def test_early_stop_rejects_non_finite_dev_map(maps, bad_iteration):
+    with pytest.raises(ExperimentError, match=f"iteration {bad_iteration}"):
+        early_stop_loop(ScriptedTrainer(maps), scripted_dev_map, max_iterations=3)
+
+
 def test_constant_trainer_stops_after_two_iterations():
     trainer = ConstantScorerTrainer(StaticScorer({}))
     result = early_stop_loop(trainer, lambda s: 0.7, max_iterations=3)
@@ -141,6 +150,31 @@ def test_config_missing_field(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ExperimentError, match="missing config field"):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"scorer": {"kind": "remote"}},
+        {"scorer": {"kind": "bogus"}},
+        {"hyperparameters": {"max_iterations": 0}},
+        {"test_exprs": []},
+    ],
+)
+def test_config_value_error_names_the_file(tmp_path, overrides):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ExperimentError, match="bad config") as info:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["[]", "{broken", '{"run_name": "x", "scorer": 5}'])
+def test_config_file_not_an_object_names_the_file(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ExperimentError, match="bad config") as info:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(info.value)
 
 
 def test_scorer_spec_validation():

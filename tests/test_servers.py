@@ -2,6 +2,8 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlas2.reranking import IdfTable, RemoteScorer, ScoringError, lexical_score
 from mlas2.servers import (
@@ -11,6 +13,14 @@ from mlas2.servers import (
     start_in_thread,
 )
 from mlas2.translation import HttpTranslator, TranslationError, TranslationRequest
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the client's backoff waits instead of sleeping."""
+    waits = []
+    monkeypatch.setattr("mlas2.wire.time.sleep", waits.append)
+    return waits
 
 
 @pytest.fixture
@@ -42,36 +52,40 @@ def test_http_translator_round_trip(translator_server):
     assert out == ["de:hello de:world", "de:again"]
 
 
-def test_http_translator_batches_requests(translator_server):
-    client = HttpTranslator(url(translator_server, "/translate"), max_texts_per_request=50)
+def test_http_translator_batches_requests(translator_server, sleeps):
+    # at most 50 texts per request
+    client = HttpTranslator(url(translator_server, "/translate"))
     before = translator_server.request_count
     texts = [f"text {i}" for i in range(120)]
     out = client.translate_batch(TranslationRequest(texts, "en", "de"))
     assert len(out) == 120
     assert translator_server.request_count - before == 3
+    assert sleeps == []
 
 
-def test_http_translator_respects_char_limit(translator_server):
-    client = HttpTranslator(
-        url(translator_server, "/translate"), max_chars_per_request=4000
-    )
+def test_http_translator_respects_char_limit(translator_server, sleeps):
+    # at most 4000 characters per request
+    client = HttpTranslator(url(translator_server, "/translate"))
     before = translator_server.request_count
     client.translate_batch(TranslationRequest(["a" * 1500] * 4, "en", "de"))
     assert translator_server.request_count - before == 2
+    assert sleeps == []
 
 
-def test_http_translator_4xx_fails_fast(translator_server):
-    client = HttpTranslator(url(translator_server, "/nowhere"), backoff=0.01)
+def test_http_translator_4xx_fails_fast(translator_server, sleeps):
+    client = HttpTranslator(url(translator_server, "/nowhere"))
     before = translator_server.request_count
     with pytest.raises(TranslationError, match="404"):
         client.translate_batch(TranslationRequest(["x"], "en", "de"))
     assert translator_server.request_count - before == 1
+    assert sleeps == []
 
 
-def test_http_translator_dead_endpoint():
-    client = HttpTranslator("http://127.0.0.1:1/translate", attempts=2, backoff=0.01, timeout=1)
+def test_http_translator_dead_endpoint(sleeps):
+    client = HttpTranslator("http://127.0.0.1:1/translate")
     with pytest.raises(TranslationError, match="unreachable"):
         client.translate_batch(TranslationRequest(["x"], "en", "de"))
+    assert sleeps == [0.5, 1.0]
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
@@ -85,25 +99,48 @@ class _FlakyHandler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        data = json.dumps({"texts": [f"ok:{t}" for t in body["texts"]]}).encode()
+        if "pairs" in body:
+            reply = {"scores": [0.5 for _ in body["pairs"]]}
+        else:
+            reply = {"texts": [f"ok:{t}" for t in body["texts"]]}
+        data = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
 
-def test_http_translator_retries_5xx():
+def test_http_translator_retries_5xx(sleeps):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
     server.failures_left = 2
     start_in_thread(server)
     try:
-        client = HttpTranslator(
-            f"http://127.0.0.1:{server.server_port}/translate", attempts=3, backoff=0.01
-        )
+        client = HttpTranslator(f"http://127.0.0.1:{server.server_port}/translate")
         assert client.translate_batch(TranslationRequest(["x"], "en", "de")) == ["ok:x"]
+        assert sleeps == [0.5, 1.0]
         server.failures_left = 3  # more failures than attempts
+        sleeps.clear()
         with pytest.raises(TranslationError, match="503"):
             client.translate_batch(TranslationRequest(["x"], "en", "de"))
+        assert sleeps == [0.5, 1.0]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_remote_scorer_retries_5xx(sleeps):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
+    server.failures_left = 2
+    start_in_thread(server)
+    try:
+        scorer = RemoteScorer(f"http://127.0.0.1:{server.server_port}/score")
+        assert scorer.score_pairs([("q", "a"), ("q", "b")]) == [0.5, 0.5]
+        assert sleeps == [0.5, 1.0]
+        server.failures_left = 3  # more failures than attempts
+        sleeps.clear()
+        with pytest.raises(ScoringError, match="503"):
+            scorer.score_pairs([("q", "a")])
+        assert sleeps == [0.5, 1.0]
     finally:
         server.shutdown()
         server.server_close()
@@ -143,6 +180,20 @@ def test_translator_server_rejects_same_language(translator_server):
         url(translator_server, "/translate"), json={"src": "en", "tgt": "en", "texts": []}
     )
     assert resp.status_code == 400
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_server_bad_content_length_is_400(translator_server, length):
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", translator_server.server_port, timeout=5)
+    try:
+        conn.putrequest("POST", "/translate")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b'{"src": "en", "tgt": "de", "texts": []}')
+        assert conn.getresponse().status == 400
+    finally:
+        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +280,27 @@ def test_remote_scorer_rejects_out_of_range_scores():
 
 
 class _FixedReplySession:
-    """Stands in for ``requests.Session``: every POST gets a 200 with ``body``."""
+    """Stands in for ``requests.Session``: every POST gets ``status`` with
+    ``body``, or a body that is not JSON when ``body`` is ``NOT_JSON``."""
 
-    def __init__(self, body):
+    NOT_JSON = object()
+
+    def __init__(self, body, status=200):
         self.body = body
+        self.status = status
+        self.posts = 0
 
     def post(self, *args, **kwargs):
-        body = self.body
+        self.posts += 1
+        body, status = self.body, self.status
 
         class Reply:
-            status_code = 200
-            text = json.dumps(body)
+            status_code = status
+            text = "<html>" if body is _FixedReplySession.NOT_JSON else json.dumps(body)
 
             def json(self):
+                if body is _FixedReplySession.NOT_JSON:
+                    raise ValueError("not JSON")
                 return body
 
         return Reply()
@@ -249,7 +308,16 @@ class _FixedReplySession:
 
 @pytest.mark.parametrize(
     "body",
-    [[0.5], "scores", {"scores": [None]}, {"scores": ["x"]}, {"scores": [[0.5]]}, {}],
+    [
+        [0.5],
+        "scores",
+        {"scores": [None]},
+        {"scores": ["x"]},
+        {"scores": [[0.5]]},
+        {},
+        {"scores": ["0.5"]},
+        {"scores": [True]},
+    ],
 )
 def test_remote_scorer_malformed_200_is_scoring_error(body):
     scorer = RemoteScorer("http://scorer.invalid/score", session=_FixedReplySession(body))
@@ -267,9 +335,50 @@ def test_http_translator_malformed_200_is_translation_error(body):
         client.translate_batch(TranslationRequest(["x"], "en", "de"))
 
 
-def test_remote_scorer_dead_endpoint():
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_replies = st.one_of(
+    _json_values,
+    st.just(_FixedReplySession.NOT_JSON),
+    st.fixed_dictionaries({"scores": st.lists(_json_values, max_size=3)}),
+    st.fixed_dictionaries({"texts": st.lists(_json_values, max_size=3)}),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    status=st.sampled_from([200, 201, 302, 400, 404, 422, 500, 502, 503]),
+    body=_replies,
+    scorer_side=st.booleans(),
+)
+def test_any_reply_gives_a_valid_result_or_the_typed_error(status, body, scorer_side):
+    session = _FixedReplySession(body, status)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("mlas2.wire.time.sleep", lambda seconds: None)
+        try:
+            if scorer_side:
+                scorer = RemoteScorer("http://scorer.invalid/score", session=session)
+                out = scorer.score_pairs([("q", "a"), ("q", "b")])
+                assert len(out) == 2 and all(type(x) is float and 0.0 <= x <= 1.0 for x in out)
+            else:
+                client = HttpTranslator("http://translator.invalid/translate", session=session)
+                out = client.translate_batch(TranslationRequest(["a", "b"], "en", "de"))
+                assert len(out) == 2 and all(type(x) is str for x in out)
+            assert status == 200
+        except (ScoringError, TranslationError) as exc:
+            assert isinstance(exc, ScoringError if scorer_side else TranslationError)
+    # 5xx is retried to the attempt limit; everything else is decided by one POST
+    assert session.posts == (3 if status >= 500 else 1)
+
+
+def test_remote_scorer_dead_endpoint(sleeps):
     with pytest.raises(ScoringError, match="unreachable"):
-        RemoteScorer("http://127.0.0.1:1/score", timeout=1).score_pairs([("q", "t")])
+        RemoteScorer("http://127.0.0.1:1/score").score_pairs([("q", "t")])
+    assert sleeps == [0.5, 1.0]
 
 
 def test_load_pair_scores(tmp_path):

@@ -74,18 +74,18 @@ def test_mock_round_trip(text, langs):
 # ---------------------------------------------------------------------------
 
 def test_batches_respect_text_limit():
-    batches = list(_batches(["x"] * 120, 50, 4000))
+    batches = list(_batches(["x"] * 120))
     assert [len(b) for b in batches] == [50, 50, 20]
 
 
 def test_batches_respect_char_limit():
     texts = ["a" * 1500] * 4
-    batches = list(_batches(texts, 50, 4000))
+    batches = list(_batches(texts))
     assert [len(b) for b in batches] == [2, 2]
 
 
 def test_oversized_text_travels_alone():
-    batches = list(_batches(["a" * 5000, "b"], 50, 4000))
+    batches = list(_batches(["a" * 5000, "b"]))
     assert [len(b) for b in batches] == [1, 1]
 
 
