@@ -15,12 +15,15 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from mlas2.dataset import (
+    LABEL,
+    TEXT,
     AnswerCandidate,
     Dataset,
     DatasetFormatError,
     Question,
     QuestionGroup,
     iter_jsonl,
+    read_fields,
 )
 from mlas2.reranking import IdfTable, Scorer, tokenize
 
@@ -80,21 +83,19 @@ class DocumentCorpus:
 def build_index(docs: Iterable[Document | dict]) -> DocumentCorpus:
     """Build a corpus from Document objects or ``{"id","text"}`` dicts."""
     converted = [
-        d if isinstance(d, Document) else Document(str(d["id"]), str(d["text"]))
-        for d in docs
+        d if isinstance(d, Document) else _read_document(d, f"document {i}")
+        for i, d in enumerate(docs)
     ]
     return DocumentCorpus(converted)
 
 
+def _read_document(rec: dict, where: str) -> Document:
+    return Document(*read_fields(rec, where, "corpus", {"id": TEXT, "text": TEXT}))
+
+
 def load_corpus(path: str | Path) -> DocumentCorpus:
     """Load a JSONL corpus of ``{"id":str,"text":str}`` records."""
-    docs = []
-    for where, rec in iter_jsonl(path):
-        try:
-            docs.append(Document(str(rec["id"]), str(rec["text"])))
-        except KeyError as exc:
-            raise DatasetFormatError(f"{where}: bad corpus record: missing {exc}") from exc
-    return DocumentCorpus(docs)
+    return DocumentCorpus([_read_document(rec, where) for where, rec in iter_jsonl(path)])
 
 
 def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list[str]:
@@ -225,16 +226,12 @@ def load_gold_labels(path: str | Path) -> dict[tuple[str, str], int]:
     """Load gold annotations: JSONL ``{"qid":str,"cid":str,"label":0|1}``."""
     table: dict[tuple[str, str], int] = {}
     for where, rec in iter_jsonl(path):
-        try:
-            key = (str(rec["qid"]), str(rec["cid"]))
-            label = rec["label"]
-        except KeyError as exc:
-            raise DatasetFormatError(f"{where}: bad gold record: missing {exc}") from exc
-        if isinstance(label, bool) or label not in (0, 1):
-            raise DatasetFormatError(f"{where}: label must be 0 or 1, got {label!r}")
-        if key in table:
-            raise DatasetFormatError(f"{where}: duplicate gold label for {key!r}")
-        table[key] = label
+        qid, cid, label = read_fields(
+            rec, where, "gold", {"qid": TEXT, "cid": TEXT, "label": LABEL}
+        )
+        if (qid, cid) in table:
+            raise DatasetFormatError(f"{where}: duplicate gold label for {(qid, cid)!r}")
+        table[(qid, cid)] = label
     return table
 
 
@@ -258,12 +255,9 @@ def import_annotations(
     grouped: dict[str, list[AnswerCandidate]] = {}
     seen: set[tuple[str, str]] = set()
     for where, rec in iter_jsonl(tasks_path):
-        try:
-            qid, cid = str(rec["qid"]), str(rec["cid"])
-            q_text, t_text = str(rec["q"]), str(rec["t"])
-            label = rec["label"]
-        except KeyError as exc:
-            raise DatasetFormatError(f"{where}: bad task record: missing {exc}") from exc
+        qid, cid, q_text, t_text = read_fields(
+            rec, where, "task", {"qid": TEXT, "cid": TEXT, "q": TEXT, "t": TEXT}
+        )
         if (qid, cid) in seen:
             raise DatasetFormatError(f"{where}: duplicate task for {(qid, cid)!r}")
         seen.add((qid, cid))
@@ -271,8 +265,10 @@ def import_annotations(
             if (qid, cid) not in gold:
                 raise DatasetFormatError(f"{where}: no gold label for {(qid, cid)!r}")
             label = gold[(qid, cid)]
-        if isinstance(label, bool) or label not in (0, 1):
+        elif rec.get("label") is None:
             raise DatasetFormatError(f"{where}: task for {(qid, cid)!r} is unlabeled")
+        else:
+            (label,) = read_fields(rec, where, "task", {"label": LABEL})
         if qid not in questions:
             questions[qid] = Question(qid, qid, q_text, language, (language,))
         full_cid = f"{qid}:{cid}"

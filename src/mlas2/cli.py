@@ -15,11 +15,15 @@ from pathlib import Path
 from mlas2 import algebra, candidates, servers
 from mlas2.algebra import CompositionParseError, MixAlignmentError
 from mlas2.dataset import (
+    SCORE,
+    TEXT,
     DatasetFormatError,
+    FieldKind,
     filter_answerable,
     iter_jsonl,
     load_dataset,
     load_questions,
+    read_fields,
     save_dataset,
     stats,
     validate_dataset,
@@ -196,13 +200,22 @@ def cmd_rank(args) -> int:
     return 0
 
 
+_RANKING = FieldKind(
+    "a list of [id, score] pairs with scores in [0, 1]",
+    lambda v: isinstance(v, list)
+    and all(
+        isinstance(p, list) and len(p) == 2 and TEXT.test(p[0]) and SCORE.test(p[1]) for p in v
+    ),
+)
+
+
 def _load_rankings(path: str) -> dict[str, list[tuple[str, float]]]:
     out: dict[str, list[tuple[str, float]]] = {}
     for where, rec in iter_jsonl(path):
-        try:
-            out[str(rec["qid"])] = [(str(c), float(s)) for c, s in rec["ranking"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"{where}: bad ranking record: {exc}") from exc
+        qid, ranking = read_fields(rec, where, "ranking", {"qid": TEXT, "ranking": _RANKING})
+        if qid in out:
+            raise DatasetFormatError(f"{where}: second ranking for question {qid!r}")
+        out[qid] = [(cid, float(score)) for cid, score in ranking]
     return out
 
 

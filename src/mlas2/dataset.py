@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 SPLITS = ("train", "dev", "test")
 
@@ -161,6 +162,51 @@ def validate_dataset(d: Dataset) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# typed field reader: the package's JSON records and bodies are read through here
+# ---------------------------------------------------------------------------
+
+class FieldKind(NamedTuple):
+    """A kind of JSON field: ``want`` names it in error messages, and ``test``
+    says whether a value is of this kind. Nothing is coerced: ``"0.5"`` is not
+    a score, ``true`` is not a label, and ``null`` is not a text."""
+
+    want: str
+    test: Callable[[object], bool]
+
+
+# type(), not isinstance(): json.loads makes exact types, and true/false are
+# instances of int, yet neither a label, a count nor a score
+TEXT = FieldKind("a JSON string", lambda v: isinstance(v, str))
+TEXTS = FieldKind("a list of strings", lambda v: isinstance(v, list) and all(map(TEXT.test, v)))
+LABEL = FieldKind("the integer 0 or 1", lambda v: type(v) is int and v in (0, 1))
+COUNT = FieldKind("a non-negative JSON integer", lambda v: type(v) is int and v >= 0)
+# compared before float(), which overflows on a huge JSON integer
+SCORE = FieldKind("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+
+
+def read_fields(rec: object, where: str, what: str, spec: dict[str, FieldKind]) -> list:
+    """The values of the fields that ``spec`` maps to kinds, in ``spec`` order,
+    from a parsed JSON object; scores come back as floats and other keys are
+    ignored. ``where`` locates the record (``path:line`` for a file) and
+    ``what`` names it: a non-object, a missing field or a value of the wrong
+    kind raises ``DatasetFormatError("<where>: bad <what> record: ...")``."""
+    if not isinstance(rec, dict):
+        raise DatasetFormatError(f"{where}: bad {what} record: not a JSON object")
+    values = []
+    for key, kind in spec.items():
+        if key not in rec:
+            raise DatasetFormatError(f"{where}: bad {what} record: missing {what} field {key!r}")
+        value = rec[key]
+        if not kind.test(value):
+            raise DatasetFormatError(
+                f"{where}: bad {what} record: {key!r} must be {kind.want}, "
+                f"got {reprlib.repr(value)}"
+            )
+        values.append(float(value) if kind is SCORE else value)
+    return values
+
+
+# ---------------------------------------------------------------------------
 # JSONL schema
 #
 # question record:  {"kind":"q","id":...,"origin_id":...,"text":...,"lang":...,"prov":[...]}
@@ -169,46 +215,27 @@ def validate_dataset(d: Dataset) -> list[str]:
 # Question records may precede all candidates or be interleaved with them.
 # ---------------------------------------------------------------------------
 
-_Q_FIELDS = ("id", "origin_id", "text", "lang", "prov")
-_C_FIELDS = ("id", "qid", "origin_id", "text", "label", "lang", "prov")
-
-
-def _require(rec: dict, fields: tuple[str, ...], where: str) -> None:
-    for key in fields:
-        if key not in rec:
-            raise DatasetFormatError(f"{where}: missing field {key!r}")
+# in the order of the constructors' arguments
+_QUESTION = {"id": TEXT, "origin_id": TEXT, "text": TEXT, "lang": TEXT, "prov": TEXTS}
+_CANDIDATE = {
+    "id": TEXT, "qid": TEXT, "origin_id": TEXT, "text": TEXT, "label": LABEL, "lang": TEXT,
+    "prov": TEXTS,
+}
 
 
 def _parse_question(rec: dict, where: str) -> Question:
-    _require(rec, _Q_FIELDS, where)
+    fields = read_fields(rec, where, "question", _QUESTION)
     try:
-        return Question(
-            id=str(rec["id"]),
-            origin_id=str(rec["origin_id"]),
-            text=str(rec["text"]),
-            language=rec["lang"],
-            provenance=tuple(rec["prov"]),
-        )
-    except (ValueError, TypeError) as exc:
+        return Question(*fields)
+    except ValueError as exc:
         raise DatasetFormatError(f"{where}: {exc}") from exc
 
 
 def _parse_candidate(rec: dict, where: str) -> AnswerCandidate:
-    _require(rec, _C_FIELDS, where)
-    label = rec["label"]
-    if isinstance(label, bool) or label not in (0, 1):
-        raise DatasetFormatError(f"{where}: label must be 0 or 1, got {label!r}")
+    fields = read_fields(rec, where, "candidate", _CANDIDATE)
     try:
-        return AnswerCandidate(
-            id=str(rec["id"]),
-            question_id=str(rec["qid"]),
-            origin_id=str(rec["origin_id"]),
-            text=str(rec["text"]),
-            label=label,
-            language=rec["lang"],
-            provenance=tuple(rec["prov"]),
-        )
-    except (ValueError, TypeError) as exc:
+        return AnswerCandidate(*fields)
+    except ValueError as exc:
         raise DatasetFormatError(f"{where}: {exc}") from exc
 
 
@@ -217,7 +244,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
     ``where`` is ``"path:line"``.
 
     This is the one reader of the package's strict JSONL inputs: a line that is
-    not valid JSON or not a JSON object raises DatasetFormatError naming it.
+    not valid JSON (or nests too deeply to parse) or not a JSON object raises
+    DatasetFormatError naming it.
     """
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
@@ -230,6 +258,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise DatasetFormatError(f"{where}: invalid JSON: nested too deeply") from exc
             if not isinstance(rec, dict):
                 raise DatasetFormatError(f"{where}: record must be a JSON object")
             yield where, rec

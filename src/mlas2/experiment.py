@@ -18,7 +18,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from mlas2.algebra import CompositionParseError, materialize, parse_composition
-from mlas2.dataset import Dataset, filter_answerable, fingerprint_dataset, load_dataset
+from mlas2.dataset import (
+    TEXT,
+    TEXTS,
+    Dataset,
+    DatasetFormatError,
+    filter_answerable,
+    fingerprint_dataset,
+    load_dataset,
+    read_fields,
+)
 from mlas2.metrics import (
     DeltaReport,
     MetricsReport,
@@ -129,32 +138,40 @@ class ExperimentConfig:
         try:
             with p.open("r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
-            source = raw.get("source", {})
+            run_name, pretrained_label, ft_expr, dev_expr, test_exprs = read_fields(
+                {"pretrained_label": "", **raw} if isinstance(raw, dict) else raw, str(p), "config",
+                {"run_name": TEXT, "pretrained_label": TEXT, "ft_expr": TEXT, "dev_expr": TEXT,
+                 "test_exprs": TEXTS},
+            )
+            train, dev, test = read_fields(
+                raw.get("source", {}), str(p), "config", {"train": TEXT, "dev": TEXT, "test": TEXT}
+            )
+            baseline_run = raw.get("baseline_run")
+            if baseline_run is not None:
+                (baseline_run,) = read_fields(raw, str(p), "config", {"baseline_run": TEXT})
             scorer_raw = dict(raw.get("scorer", {}))
             scorer_raw["scores_path"] = resolve(scorer_raw.get("scores_path"))
             translator_raw = dict(raw.get("translator", {"kind": "mock"}))
             translator_raw["cache_path"] = resolve(translator_raw.get("cache_path"))
             return cls(
-                run_name=str(raw["run_name"]),
-                pretrained_label=str(raw.get("pretrained_label", "")),
-                source_train=resolve(str(source["train"])),
-                source_dev=resolve(str(source["dev"])),
-                source_test=resolve(str(source["test"])),
-                ft_expr=str(raw["ft_expr"]),
-                dev_expr=str(raw["dev_expr"]),
-                test_exprs=tuple(str(e) for e in raw["test_exprs"]),
+                run_name=run_name,
+                pretrained_label=pretrained_label,
+                source_train=resolve(train),
+                source_dev=resolve(dev),
+                source_test=resolve(test),
+                ft_expr=ft_expr,
+                dev_expr=dev_expr,
+                test_exprs=tuple(test_exprs),
                 scorer=ScorerSpec(**scorer_raw),
                 translator=TranslatorSpec(**translator_raw),
                 hyperparameters=Hyperparameters(**raw.get("hyperparameters", {})),
-                baseline_run=raw.get("baseline_run"),
+                baseline_run=baseline_run,
             )
-        except KeyError as exc:
-            raise ExperimentError(f"{p}: missing config field {exc}") from exc
+        except DatasetFormatError as exc:
+            raise ExperimentError(str(exc)) from exc
         except CompositionParseError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ExperimentError(f"{p}: bad config: {exc}") from exc
 
 

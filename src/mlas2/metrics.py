@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from mlas2.dataset import DatasetFormatError, QuestionGroup
+from mlas2.dataset import COUNT, SCORE, TEXT, QuestionGroup, read_fields
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ def judge(group: QuestionGroup, ranked: Sequence[tuple[str, float]]) -> JudgedRa
             f"ranking covers {len(ranked)} of {len(labels)} candidates "
             f"for question {group.question.id!r}"
         )
+    if len({cid for cid, _score in ranked}) != len(ranked):
+        raise ValueError(f"ranking repeats a candidate for question {group.question.id!r}")
     out = []
     for cid, _score in ranked:
         if cid not in labels:
@@ -105,25 +107,14 @@ class MetricsReport:
         """Inverse of ``to_json_dict``; also reads the optional ``n_excluded``
         count that run records add. Raises DatasetFormatError when ``raw`` is
         not an object, lacks a key, or holds a value of the wrong type."""
-        if not isinstance(raw, dict):
-            raise DatasetFormatError(f"metrics report must be a JSON object, got {raw!r}")
-        raw = {"n_excluded": 0, **raw}
-        number = (int, float)
-        for key, types in (
-            ("test", str), ("n", int), ("p_at_1", number), ("map", number),
-            ("mrr", number), ("n_excluded", int),
-        ):
-            if key not in raw:
-                raise DatasetFormatError(f"metrics report is missing {key!r}")
-            if isinstance(raw[key], bool) or not isinstance(raw[key], types):
-                raise DatasetFormatError(f"metrics report has a bad {key!r}: {raw[key]!r}")
         return cls(
-            test_set=raw["test"],
-            num_questions=raw["n"],
-            p_at_1=raw["p_at_1"],
-            map=raw["map"],
-            mrr=raw["mrr"],
-            num_excluded=raw["n_excluded"],
+            *read_fields(
+                {"n_excluded": 0, **raw} if isinstance(raw, dict) else raw,
+                "metrics report",
+                "metrics",
+                {"test": TEXT, "n": COUNT, "p_at_1": SCORE, "map": SCORE, "mrr": SCORE,
+                 "n_excluded": COUNT},
+            )
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from abc import ABC, abstractmethod
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
-from mlas2.dataset import AnswerCandidate, Dataset, DatasetFormatError, Question, iter_jsonl
+from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Dataset, Question, iter_jsonl, read_fields
 from mlas2.wire import post_json
 
 
@@ -172,10 +173,10 @@ class StaticScorer(Scorer):
         """Load a JSONL file of ``{"qid":str,"cid":str,"score":float}`` records."""
         table: dict[tuple[str, str], float] = {}
         for where, rec in iter_jsonl(path):
-            try:
-                table[(str(rec["qid"]), str(rec["cid"]))] = float(rec["score"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetFormatError(f"{where}: bad score record: {exc}") from exc
+            qid, cid, score = read_fields(
+                rec, where, "score", {"qid": TEXT, "cid": TEXT, "score": SCORE}
+            )
+            table[(qid, cid)] = score
         return cls(table)
 
     def score_candidates(
@@ -228,19 +229,14 @@ class RemoteScorer(TextPairScorer):
             service="scorer",
         )
         scores = body.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(pairs):
-            got = len(scores) if isinstance(scores, list) else "no"
-            raise ScoringError(f"scorer returned {got} scores for {len(pairs)} pairs")
-        out = []
-        for s in scores:
-            # a JSON number only: no numeric strings, and true/false are not numbers
-            if not isinstance(s, (int, float)) or isinstance(s, bool):
-                raise ScoringError(f"scorer returned a non-numeric score: {s!r}")
-            # compared before float(), which overflows on a huge JSON integer
-            if not 0 <= s <= 1:
-                raise ScoringError(f"scorer returned score outside [0, 1]: {s}")
-            out.append(float(s))
-        return out
+        if not isinstance(scores, list) or not all(map(SCORE.test, scores)):
+            raise ScoringError(
+                f"scorer returned no scores, a non-number or a score outside [0, 1]: "
+                f"{reprlib.repr(scores)}"
+            )
+        if len(scores) != len(pairs):
+            raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
+        return [float(s) for s in scores]
 
 
 # ---------------------------------------------------------------------------

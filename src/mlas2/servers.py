@@ -12,7 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from mlas2.dataset import DatasetFormatError, iter_jsonl
+from mlas2.dataset import SCORE, TEXT, TEXTS, DatasetFormatError, FieldKind, iter_jsonl, read_fields
 from mlas2.reranking import IdfTable, LexicalScorer
 from mlas2.translation import mock_translate
 
@@ -21,10 +21,8 @@ def load_pair_scores(path: str | Path) -> dict[tuple[str, str], float]:
     """Static score table for the mock scorer: JSONL ``{"q","t","score"}``."""
     table: dict[tuple[str, str], float] = {}
     for where, rec in iter_jsonl(path):
-        try:
-            table[(str(rec["q"]), str(rec["t"]))] = float(rec["score"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"{where}: bad pair-score record: {exc}") from exc
+        q, t, score = read_fields(rec, where, "pair-score", {"q": TEXT, "t": TEXT, "score": SCORE})
+        table[(q, t)] = score
     return table
 
 
@@ -43,7 +41,8 @@ class _CountingServer(ThreadingHTTPServer):
 
 class _JsonHandler(BaseHTTPRequestHandler):
     """The mock services' one POST path: count the request, check ``path_served``,
-    parse a JSON object body, and reply with ``answer(body) -> (status, payload)``."""
+    parse a JSON body, and reply with ``answer(body) -> (status, payload)``; a body
+    ``answer`` cannot read (``DatasetFormatError``) gets a 400."""
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -67,9 +66,10 @@ class _JsonHandler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             return 400, {"error": "invalid JSON body"}
-        if not isinstance(body, dict):
-            return 400, {"error": "body must be a JSON object"}
-        return self.answer(body)
+        try:
+            return self.answer(body)
+        except DatasetFormatError as exc:
+            return 400, {"error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +79,13 @@ class _JsonHandler(BaseHTTPRequestHandler):
 class _TranslatorHandler(_JsonHandler):
     path_served = "/translate"
 
-    def answer(self, body: dict) -> tuple[int, dict]:
-        src, tgt, texts = body.get("src"), body.get("tgt"), body.get("texts")
-        if not isinstance(src, str) or not isinstance(tgt, str) or not isinstance(texts, list):
-            return 400, {"error": "expected src, tgt, and texts"}
+    def answer(self, body: object) -> tuple[int, dict]:
+        src, tgt, texts = read_fields(
+            body, "request", "translation", {"src": TEXT, "tgt": TEXT, "texts": TEXTS}
+        )
         if src == tgt:
             return 400, {"error": "src and tgt must differ"}
-        return 200, {"texts": [mock_translate(str(t), src, tgt) for t in texts]}
+        return 200, {"texts": [mock_translate(t, src, tgt) for t in texts]}
 
 
 def make_translator_server(port: int = 0, host: str = "127.0.0.1") -> _CountingServer:
@@ -97,16 +97,19 @@ def make_translator_server(port: int = 0, host: str = "127.0.0.1") -> _CountingS
 # mock scorer service
 # ---------------------------------------------------------------------------
 
+# each pair is then read as a {q, t} record of its own
+_PAIRS = FieldKind("a list of {q, t} objects", lambda v: isinstance(v, list))
+
+
 class _ScorerHandler(_JsonHandler):
     path_served = "/score"
 
-    def answer(self, body: dict) -> tuple[int, dict]:
-        pairs = body.get("pairs")
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, dict) and "q" in p and "t" in p for p in pairs
-        ):
-            return 400, {"error": "expected pairs of {q, t}"}
-        qt = [(str(p["q"]), str(p["t"])) for p in pairs]
+    def answer(self, body: object) -> tuple[int, dict]:
+        (pairs,) = read_fields(body, "request", "scoring", {"pairs": _PAIRS})
+        qt = [
+            tuple(read_fields(p, f"pair {i}", "scoring", {"q": TEXT, "t": TEXT}))
+            for i, p in enumerate(pairs)
+        ]
         table = self.server.pair_scores
         if table is None:
             # zero-config mode: tf-idf over the candidate texts of this request

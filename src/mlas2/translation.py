@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import requests
 
-from mlas2.dataset import validate_language
+from mlas2.dataset import TEXT, TEXTS, DatasetFormatError, read_fields, validate_language
 from mlas2.wire import post_json
 
 
@@ -120,12 +121,14 @@ class HttpTranslator(Translator):
             service="translator",
         )
         texts = body.get("texts")
-        if not isinstance(texts, list) or len(texts) != len(batch):
-            got = len(texts) if isinstance(texts, list) else "no"
-            raise TranslationError(f"translator returned {got} texts for {len(batch)} inputs")
-        for text in texts:
-            if not isinstance(text, str):
-                raise TranslationError(f"translator returned a non-string text: {text!r}")
+        if not TEXTS.test(texts):
+            raise TranslationError(
+                f"translator returned no texts or a non-string text: {reprlib.repr(texts)}"
+            )
+        if len(texts) != len(batch):
+            raise TranslationError(
+                f"translator returned {len(texts)} texts for {len(batch)} inputs"
+            )
         return texts
 
 
@@ -137,8 +140,9 @@ class TranslationCache:
     """Append-only JSONL cache keyed by (src, tgt, sha256 of the source text).
 
     Lines: ``{"src":str,"tgt":str,"hash":str,"text":str}`` where ``text`` is
-    the translation. Corrupt lines are skipped on load (treated as misses) and
-    rewritten on the next store; duplicate keys resolve last-write-wins.
+    the translation. Corrupt lines, and lines with a field of the wrong type,
+    are skipped on load (treated as misses) and rewritten on the next store;
+    duplicate keys resolve last-write-wins.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -152,11 +156,13 @@ class TranslationCache:
                     if not line:
                         continue
                     try:
-                        rec = json.loads(line)
-                        key = (rec["src"], rec["tgt"], rec["hash"])
-                        self._entries[key] = str(rec["text"])
-                    except (ValueError, KeyError, TypeError):
+                        src, tgt, h, text = read_fields(
+                            json.loads(line), str(self._path), "cache",
+                            {"src": TEXT, "tgt": TEXT, "hash": TEXT, "text": TEXT},
+                        )
+                    except (json.JSONDecodeError, RecursionError, DatasetFormatError):
                         continue
+                    self._entries[(src, tgt, h)] = text
 
     @staticmethod
     def text_key(text: str) -> str:

@@ -1,10 +1,11 @@
 """The one JSON-POST client behind the HTTP translator and the remote scorer.
 
-Policy: up to ``ATTEMPTS`` tries per request. Transport failures and 5xx
-responses are retried after ``BACKOFF_S`` seconds, doubling each time; any
-other non-200 status, invalid JSON, or a body that is not a JSON object fails
-at once. Every failure is raised as the caller's typed ``error``, with the
-``service`` name in its message.
+Policy: up to ``ATTEMPTS`` tries per request. Failures a retry can cure (a
+failed connection, a timeout, a 5xx response) are retried after ``BACKOFF_S``
+seconds, doubling each time. Any other request error (such as an endpoint
+without a scheme), any other non-200 status, invalid JSON, or a body that is
+not a JSON object fails at once. Every failure is raised as the caller's
+typed ``error``, with the ``service`` name in its message.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ def post_json(
             time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
             resp = session.post(endpoint, json=payload, timeout=TIMEOUT_S)
-        except requests.RequestException as exc:
+        except (requests.ConnectionError, requests.Timeout) as exc:
             failure = error(f"{service} unreachable: {exc}")
             continue
+        except requests.RequestException as exc:
+            raise error(f"{service} request failed: {exc}") from exc
         if resp.status_code == 200:
             break
         failure = error(f"{service} returned {resp.status_code}: {resp.text[:200]}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mlas2
 from conftest import make_dataset, make_group
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
@@ -150,6 +155,30 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
     assert "bad.jsonl:1" in err
 
 
+def test_deeply_nested_line_exits_2_without_traceback(tmp_path):
+    # json.loads raises RecursionError here, which is no ValueError
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mlas2.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlas2", "dataset", "stats", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "deep.jsonl:1: invalid JSON" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_compose_rejects_null_text_instead_of_writing_none(capsys, tmp_path):
+    path = tmp_path / "src.jsonl"
+    write_fixture(path, [{**FIXTURE_LINES[0], "text": None}, *FIXTURE_LINES[1:3]])
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(capsys, "dataset", "compose", "--expr", "En", "--source", path, "--out", out)
+    assert code == 2
+    assert "src.jsonl:1: bad question record: 'text' must be a JSON string" in err
+    assert not out.exists()
+
+
 def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path, monkeypatch):
     sleeps = []
     monkeypatch.setattr("mlas2.wire.time.sleep", sleeps.append)
@@ -260,6 +289,31 @@ def test_evaluate_with_rankings_file(capsys, fixture_path, tmp_path):
     assert first_json(out) == first_json(out2)
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # q1's candidates are q1c0 (correct) and q1c1: repeating q1c0 scored MAP 1.0
+        [{"qid": "q1", "ranking": [["q1c0", 0.9], ["q1c0", 0.8]]}],
+        # a second line for q1 would silently replace the first
+        [
+            {"qid": "q1", "ranking": [["q1c0", 0.9], ["q1c1", 0.1]]},
+            {"qid": "q1", "ranking": [["q1c1", 0.9], ["q1c0", 0.1]]},
+        ],
+    ],
+    ids=["repeated-candidate", "second-line-for-question"],
+)
+def test_evaluate_rejects_a_corrupt_rankings_file(capsys, fixture_path, tmp_path, lines):
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    q2 = [["q2c0", 0.9], ["q2c1", 0.8], ["q2c2", 0.1]]
+    with ranked.open("a") as fh:
+        fh.write(json.dumps({"qid": "q2", "ranking": q2}) + "\n")
+    code, out, err = run(capsys, "evaluate", fixture_path, "--rankings", ranked)
+    assert code == 2
+    assert out == ""
+    assert "q1" in err
+
+
 def test_evaluate_with_baseline_reports_delta(capsys, fixture_path, tmp_path):
     d = load_dataset(fixture_path, "train")
     scores = perfect_scores_path(tmp_path, d)
@@ -342,6 +396,27 @@ def test_candidates_build_and_annotate(capsys, tmp_path):
     d = load_dataset(dataset_path, "test")
     assert validate_dataset(d) == []
     assert first_json(out)["candidates"] == d.num_candidates()
+
+
+def test_experiment_run_null_run_name_exits_2(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "run_name": None,
+                "source": {"train": "src.jsonl", "dev": "src.jsonl", "test": "src.jsonl"},
+                "ft_expr": "En",
+                "dev_expr": "En",
+                "test_exprs": ["En"],
+                "scorer": {"kind": "lexical"},
+            }
+        )
+    )
+    runs = tmp_path / "runs"
+    code, _, err = run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)
+    assert code == 2
+    assert "config.json: bad config record: 'run_name' must be a JSON string" in err
+    assert not (runs / "None.json").exists()
 
 
 def test_experiment_run_cli(capsys, tmp_path):

@@ -126,6 +126,7 @@ def test_load_reports_line_numbers(tmp_path):
 # each JSONL loader with a valid first record of its own format
 LOADERS = {
     "load_dataset": (lambda path: load_dataset(path, "train"), FIXTURE_LINES[0]),
+    "load_dataset_candidate": (lambda path: load_dataset(path, "train"), FIXTURE_LINES[1]),
     "load_questions": (load_questions, FIXTURE_LINES[0]),
     "load_corpus": (load_corpus, {"id": "d1", "text": "a b"}),
     "load_gold_labels": (load_gold_labels, {"qid": "q1", "cid": "c1", "label": 1}),
@@ -146,6 +147,35 @@ def test_every_loader_names_the_bad_line(tmp_path, name, bad_line):
     path = tmp_path / f"{name}.jsonl"
     path.write_text(json.dumps(first) + "\n" + bad_line + "\n")
     with pytest.raises(DatasetFormatError, match=rf"{name}\.jsonl:2: "):
+        loader(path)
+
+
+def wrongly_typed(valid):
+    """JSON values of another type than the field's valid value ``valid``: null,
+    numbers outside [0, 1], bools, lists of non-strings, objects, and the
+    numeric string "0.5" where the valid value is not a string."""
+    wrong = (
+        st.none()
+        | st.integers().filter(lambda n: n not in (0, 1))
+        | st.floats().filter(lambda x: not 0 <= x <= 1)
+        | st.booleans()
+        | st.lists(st.none() | st.integers(), min_size=1, max_size=3)
+        | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    )
+    return wrong if isinstance(valid, str) else wrong | st.just("0.5")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_loader_rejects_a_wrongly_typed_field(tmp_path_factory, data):
+    # never coerced: a null text must not load as "None", nor "0.5" as a score
+    name = data.draw(st.sampled_from(sorted(LOADERS)), label="loader")
+    loader, valid = LOADERS[name]
+    field = data.draw(st.sampled_from(sorted(valid)), label="field")
+    value = data.draw(wrongly_typed(valid[field]), label="value")
+    path = tmp_path_factory.mktemp("typed") / f"{name}.jsonl"
+    path.write_text(json.dumps({**valid, field: value}) + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"{name}\.jsonl:1: "):
         loader(path)
 
 

@@ -177,6 +177,43 @@ def test_config_file_not_an_object_names_the_file(tmp_path, text):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"run_name": None},
+        {"test_exprs": "En"},
+        {"test_exprs": ["En", 5]},
+        {"ft_expr": 5},
+        {"pretrained_label": None},
+        {"source": {"train": None, "dev": "src.jsonl", "test": "src.jsonl"}},
+        {"baseline_run": 3},
+    ],
+    ids=[
+        "null-run-name", "string-test-exprs", "number-in-test-exprs", "number-expr",
+        "null-label", "null-source", "number-baseline",
+    ],
+)
+def test_config_wrongly_typed_field_names_the_file(tmp_path, overrides):
+    # before, a null run_name became "None" and "test_exprs": "En" the terms E and n
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ExperimentError, match="bad config") as info:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(info.value)
+
+
+def test_config_baseline_run_may_be_null(tmp_path):
+    assert ExperimentConfig.from_json(write_config(tmp_path, baseline_run=None)).baseline_run is None
+
+
+def test_config_nested_too_deeply_names_the_file(tmp_path):
+    # json.load raises RecursionError here, which is no ValueError
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ExperimentError, match="bad config") as info:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(info.value)
+
+
 def test_scorer_spec_validation():
     with pytest.raises(ValueError, match="unknown scorer"):
         ScorerSpec(kind="neural")

@@ -88,6 +88,20 @@ def test_http_translator_dead_endpoint(sleeps):
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("side", ["scorer", "translator"])
+def test_scheme_less_endpoint_fails_without_retrying(sleeps, side):
+    # no connection adapter serves "localhost:9/...", and no retry can change that
+    if side == "scorer":
+        with pytest.raises(ScoringError, match="request failed"):
+            RemoteScorer("localhost:9/score").score_pairs([("q", "t")])
+    else:
+        with pytest.raises(TranslationError, match="request failed"):
+            HttpTranslator("localhost:9/translate").translate_batch(
+                TranslationRequest(["x"], "en", "de")
+            )
+    assert sleeps == []
+
+
 class _FlakyHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         pass
@@ -180,6 +194,41 @@ def test_translator_server_rejects_same_language(translator_server):
         url(translator_server, "/translate"), json={"src": "en", "tgt": "en", "texts": []}
     )
     assert resp.status_code == 400
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"src": "en", "tgt": "de", "texts": [None]},
+        {"src": "en", "tgt": "de", "texts": ["ok", {"a": 1}]},
+        {"src": "en", "tgt": 7, "texts": []},
+    ],
+    ids=["null-text", "object-text", "number-tgt"],
+)
+def test_translator_server_wrongly_typed_body_is_400(translator_server, body):
+    import requests
+
+    resp = requests.post(url(translator_server, "/translate"), json=body)
+    assert resp.status_code == 400
+    assert "bad translation record" in resp.json()["error"]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[{"q": None, "t": "x"}], [{"q": "a", "t": "b"}, {"q": "a", "t": 1}], ["ab"]],
+    ids=["null-question", "number-text", "string-pair"],
+)
+def test_scorer_server_wrongly_typed_pair_is_400(pairs):
+    import requests
+
+    server = scorer_server()
+    try:
+        resp = requests.post(url(server, "/score"), json={"max_seq_len": 8, "pairs": pairs})
+        assert resp.status_code == 400
+        assert "bad scoring record" in resp.json()["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.mark.parametrize("length", ["abc", "-1"])

@@ -167,6 +167,16 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert TranslationCache(path).get("en", "de", "missing") == "de:missing"
 
 
+@pytest.mark.parametrize("field", ["src", "tgt", "hash", "text"])
+def test_cache_skips_wrongly_typed_lines(tmp_path, field):
+    path = tmp_path / "cache.jsonl"
+    line = {"src": "en", "tgt": "de", "hash": TranslationCache.text_key("x"), "text": "de:x"}
+    path.write_text(json.dumps({**line, field: None}) + "\n")
+    cache = TranslationCache(path)
+    # a null translation must be a miss, never the text "None"
+    assert len(cache) == 0 and cache.get("en", "de", "x") is None
+
+
 def test_cache_is_content_addressed(tmp_path):
     cache = TranslationCache(tmp_path / "c.jsonl")
     backend = CountingTranslator(MockTranslator())
