@@ -113,6 +113,7 @@ def main() -> None:
     from mlas2.algebra import materialize, parse_composition
     from mlas2.candidates import load_corpus, select_candidates, split_sentences
     from mlas2.dataset import load_questions
+    from mlas2.experiment import ScorerSpec, build_scorer
     from mlas2.reranking import IdfTable, LexicalScorer, lexical_score, rank
     from mlas2.translation import MockTranslator
 
@@ -182,7 +183,7 @@ def main() -> None:
 
         source_data = load_dataset(source, "test", name="En")
         composed = materialize(parse_composition(EXPR), source_data, MockTranslator())
-        rank_scorer = LexicalScorer.from_dataset(composed)
+        rank_scorer = build_scorer(ScorerSpec("lexical"), composed.candidate_texts(), max_seq_len=128)
         for group in composed.groups:
             by_id = {c.id: c.text for c in group.candidates}
             scored = [

@@ -25,7 +25,7 @@ from mlas2.dataset import (
     iter_jsonl,
     read_fields,
 )
-from mlas2.reranking import IdfTable, Scorer, tokenize
+from mlas2.reranking import IdfTable, TextPairScorer, order, tokenize
 
 
 @dataclass(frozen=True)
@@ -167,37 +167,31 @@ def split_sentences(text: str) -> list[str]:
 def select_candidates(
     question: Question,
     corpus: DocumentCorpus,
-    scorer: Scorer,
+    scorer: TextPairScorer,
     k_docs: int = 500,
     k_sents: int = 100,
 ) -> list[AnswerCandidate]:
     """Pool the sentences of the top-k_docs retrieved documents, score them
-    against the question, and keep the best k_sents (ties by candidate id).
+    against the question in one call, and keep the best k_sents (ties by
+    candidate id); records are built only for the sentences kept.
 
     Candidate ids are ``{doc_id}:{sentence_index}``; labels stay None until
     annotation.
     """
-    doc_ids = retrieve_documents(question.text, corpus, k_docs)
-    pool = []
-    for doc_id in doc_ids:
+    if k_sents < 1:
+        raise ValueError(f"k_sents must be >= 1, got {k_sents}")
+    pool: dict[str, str] = {}
+    for doc_id in retrieve_documents(question.text, corpus, k_docs):
         for i, sentence in enumerate(split_sentences(corpus.by_id[doc_id].text)):
-            cid = f"{doc_id}:{i}"
-            pool.append(
-                AnswerCandidate(
-                    id=cid,
-                    question_id=question.id,
-                    origin_id=cid,
-                    text=sentence,
-                    label=None,
-                    language=question.language,
-                    provenance=(question.language,),
-                )
-            )
+            pool[f"{doc_id}:{i}"] = sentence
     if not pool:
         raise ValueError(f"no candidate sentences for question {question.id!r}")
-    scores = scorer.score_candidates(question, pool)
-    ranked = sorted(zip(pool, scores), key=lambda item: (-item[1], item[0].id))
-    return [cand for cand, _ in ranked[:k_sents]]
+    scores = scorer.score_pairs([(question.text, sentence) for sentence in pool.values()])
+    lang = question.language
+    return [
+        AnswerCandidate(cid, question.id, cid, pool[cid], None, lang, (lang,))
+        for cid, _ in order(list(pool), scores)[:k_sents]
+    ]
 
 
 def export_annotation_tasks(

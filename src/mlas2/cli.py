@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from mlas2 import algebra, candidates, servers
@@ -24,6 +25,7 @@ from mlas2.dataset import (
     load_dataset,
     load_questions,
     read_fields,
+    read_json,
     save_dataset,
     stats,
     validate_dataset,
@@ -40,7 +42,7 @@ from mlas2.experiment import (
     run_experiment,
 )
 from mlas2.metrics import MetricsReport, delta_report, evaluate, judge, render_delta_table
-from mlas2.reranking import IdfTable, LexicalScorer, Scorer, ScoringError, rank
+from mlas2.reranking import Scorer, ScoringError, rank
 from mlas2.translation import TranslationError, Translator
 
 
@@ -69,9 +71,9 @@ def _translator(args) -> Translator:
         raise UsageError(f"mlas2: {exc}") from exc
 
 
-def _scorer(args, dataset=None) -> Scorer:
-    """The scorer the flags describe; a remote scorer without --endpoint or a
-    static one without --scores is a usage error."""
+def _scorer(args, texts) -> Scorer:
+    """The scorer the flags describe, for ranking ``texts``; a remote scorer
+    without --endpoint or a static one without --scores is a usage error."""
     scores_path = getattr(args, "scores", None)  # `candidates build` has no --scores
     try:
         spec = ScorerSpec(
@@ -79,7 +81,7 @@ def _scorer(args, dataset=None) -> Scorer:
         )
     except ValueError as exc:
         raise UsageError(f"mlas2: {exc}") from exc
-    return build_scorer(spec, dataset, max_seq_len=args.max_seq_len)
+    return build_scorer(spec, texts, max_seq_len=args.max_seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +144,9 @@ def cmd_dataset_compose(args) -> int:
 def cmd_candidates_build(args) -> int:
     corpus = candidates.load_corpus(args.corpus)
     questions = load_questions(args.questions)
-    if args.scorer == "lexical":
-        # one idf table over every sentence of the corpus
-        sentences = [
-            s for doc in corpus.documents for s in candidates.split_sentences(doc.text)
-        ]
-        scorer: Scorer = LexicalScorer(IdfTable.from_texts(sentences))
-    else:
-        scorer = _scorer(args)
+    scorer = _scorer(
+        args, (s for doc in corpus.documents for s in candidates.split_sentences(doc.text))
+    )
     tasks = []
     total = 0
     for question in questions:
@@ -182,21 +179,16 @@ def cmd_candidates_annotate(args) -> int:
 
 def cmd_rank(args) -> int:
     d = load_dataset(args.dataset, args.split)
-    scorer = _scorer(args, d)
-    lines = []
-    for group in d.groups:
-        ranked = rank(group.question, group.candidates, scorer)
-        lines.append(
-            {"qid": group.question.id, "ranking": [[cid, score] for cid, score in ranked]}
-        )
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for line in lines:
-            out_fh.write(json.dumps(line, ensure_ascii=False))
-            out_fh.write("\n")
-    finally:
-        if args.out:
-            out_fh.close()
+    scorer = _scorer(args, d.candidate_texts())
+    text = "".join(
+        json.dumps({"qid": g.question.id, "ranking": rank(g.question, g.candidates, scorer)},
+                   ensure_ascii=False) + "\n"
+        for g in d.groups
+    )
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -221,6 +213,11 @@ def _load_rankings(path: str) -> dict[str, list[tuple[str, float]]]:
 
 def cmd_evaluate(args) -> int:
     d = load_dataset(args.dataset, args.split)
+    base = None
+    if args.baseline:
+        # read before anything is emitted: a bad baseline leaves stdout empty
+        raw = read_json(args.baseline, DatasetFormatError, "metrics report")
+        base = MetricsReport.from_json_dict(raw, args.baseline)
     name = args.name or d.name
     if args.rankings:
         answerable = filter_answerable(d)
@@ -236,15 +233,9 @@ def cmd_evaluate(args) -> int:
             judged, test_set=name, num_excluded=len(d.groups) - len(answerable.groups)
         )
     else:
-        report = evaluate_dataset(d, _scorer(args, d), test_set=name)
+        report = evaluate_dataset(d, _scorer(args, d.candidate_texts()), test_set=name)
     _emit(report.to_json_dict())
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        try:
-            base = MetricsReport.from_json_dict(raw)
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{args.baseline}: {exc}") from exc
+    if base is not None:
         _emit(delta_report(base, report, baseline_name=base.test_set or args.baseline).to_json_dict())
     return 0
 
@@ -256,8 +247,6 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(
             config, hyperparameters=replace(config.hyperparameters, seed=args.seed)
         )

@@ -109,6 +109,9 @@ class Dataset:
     def num_candidates(self) -> int:
         return sum(len(g.candidates) for g in self.groups)
 
+    def candidate_texts(self) -> Iterator[str]:
+        return (c.text for g in self.groups for c in g.candidates)
+
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -179,7 +182,10 @@ class FieldKind(NamedTuple):
 TEXT = FieldKind("a JSON string", lambda v: isinstance(v, str))
 TEXTS = FieldKind("a list of strings", lambda v: isinstance(v, list) and all(map(TEXT.test, v)))
 LABEL = FieldKind("the integer 0 or 1", lambda v: type(v) is int and v in (0, 1))
+INTEGER = FieldKind("a JSON integer", lambda v: type(v) is int)
 COUNT = FieldKind("a non-negative JSON integer", lambda v: type(v) is int and v >= 0)
+NUMBER = FieldKind("a JSON number", lambda v: type(v) in (int, float))
+OPTIONAL_TEXT = FieldKind("a JSON string or null", lambda v: v is None or isinstance(v, str))
 # compared before float(), which overflows on a huge JSON integer
 SCORE = FieldKind("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
@@ -254,15 +260,25 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
             if not line:
                 continue
             where = f"{p}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON: nested too deeply") from exc
+            rec = _parse_json(line, where, DatasetFormatError)
             if not isinstance(rec, dict):
                 raise DatasetFormatError(f"{where}: record must be a JSON object")
             yield where, rec
+
+
+def read_json(path: str | Path, error: type[Exception], what: str) -> object:
+    """Parse a whole JSON file. Invalid JSON, or JSON nested too deeply to parse,
+    raises the caller's ``error("<path>: bad <what>: invalid JSON: ...")``."""
+    return _parse_json(Path(path).read_text(encoding="utf-8"), f"{path}: bad {what}", error)
+
+
+def _parse_json(text: str, where: str, error: type[Exception]) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: invalid JSON: nested too deeply") from exc
 
 
 def load_dataset(path: str | Path, split: str, name: str | None = None) -> Dataset:

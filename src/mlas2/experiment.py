@@ -13,20 +13,26 @@ import json
 import math
 import os
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mlas2.algebra import CompositionParseError, materialize, parse_composition
 from mlas2.dataset import (
+    COUNT,
+    INTEGER,
+    NUMBER,
+    OPTIONAL_TEXT,
     TEXT,
     TEXTS,
     Dataset,
     DatasetFormatError,
+    FieldKind,
     filter_answerable,
     fingerprint_dataset,
     load_dataset,
     read_fields,
+    read_json,
 )
 from mlas2.metrics import (
     DeltaReport,
@@ -36,6 +42,7 @@ from mlas2.metrics import (
     judge,
 )
 from mlas2.reranking import (
+    IdfTable,
     LexicalScorer,
     RemoteScorer,
     Scorer,
@@ -101,6 +108,19 @@ class TranslatorSpec:
             raise ValueError(f"unknown translator kind {self.kind!r}")
 
 
+# the JSON kind of each field annotation of the config section dataclasses
+_KINDS = {"str": TEXT, "str | None": OPTIONAL_TEXT, "int": INTEGER, "float": NUMBER}
+
+
+def _read_section(raw: dict, key: str, cls: type, where: str):
+    """The ``cls`` a config section describes. The fields it holds must be of
+    their annotations' kinds; absent ones keep the defaults."""
+    section = raw.get(key, {})
+    held = [f for f in fields(cls) if isinstance(section, dict) and f.name in section]
+    read_fields(section, f"{where}: {key}", "config", {f.name: _KINDS[f.type] for f in held})
+    return cls(**section)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     run_name: str
@@ -136,23 +156,18 @@ class ExperimentConfig:
             return None if value is None else str(p.parent / value)
 
         try:
-            with p.open("r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            run_name, pretrained_label, ft_expr, dev_expr, test_exprs = read_fields(
-                {"pretrained_label": "", **raw} if isinstance(raw, dict) else raw, str(p), "config",
+            raw = read_json(p, ExperimentError, "config")
+            defaults = {"pretrained_label": "", "baseline_run": None}
+            run_name, pretrained_label, ft_expr, dev_expr, test_exprs, baseline_run = read_fields(
+                {**defaults, **raw} if isinstance(raw, dict) else raw, str(p), "config",
                 {"run_name": TEXT, "pretrained_label": TEXT, "ft_expr": TEXT, "dev_expr": TEXT,
-                 "test_exprs": TEXTS},
+                 "test_exprs": TEXTS, "baseline_run": OPTIONAL_TEXT},
             )
             train, dev, test = read_fields(
                 raw.get("source", {}), str(p), "config", {"train": TEXT, "dev": TEXT, "test": TEXT}
             )
-            baseline_run = raw.get("baseline_run")
-            if baseline_run is not None:
-                (baseline_run,) = read_fields(raw, str(p), "config", {"baseline_run": TEXT})
-            scorer_raw = dict(raw.get("scorer", {}))
-            scorer_raw["scores_path"] = resolve(scorer_raw.get("scores_path"))
-            translator_raw = dict(raw.get("translator", {"kind": "mock"}))
-            translator_raw["cache_path"] = resolve(translator_raw.get("cache_path"))
+            scorer = _read_section(raw, "scorer", ScorerSpec, str(p))
+            translator = _read_section(raw, "translator", TranslatorSpec, str(p))
             return cls(
                 run_name=run_name,
                 pretrained_label=pretrained_label,
@@ -162,16 +177,16 @@ class ExperimentConfig:
                 ft_expr=ft_expr,
                 dev_expr=dev_expr,
                 test_exprs=tuple(test_exprs),
-                scorer=ScorerSpec(**scorer_raw),
-                translator=TranslatorSpec(**translator_raw),
-                hyperparameters=Hyperparameters(**raw.get("hyperparameters", {})),
+                scorer=replace(scorer, scores_path=resolve(scorer.scores_path)),
+                translator=replace(translator, cache_path=resolve(translator.cache_path)),
+                hyperparameters=_read_section(raw, "hyperparameters", Hyperparameters, str(p)),
                 baseline_run=baseline_run,
             )
         except DatasetFormatError as exc:
             raise ExperimentError(str(exc)) from exc
         except CompositionParseError:
             raise
-        except (TypeError, ValueError, RecursionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ExperimentError(f"{p}: bad config: {exc}") from exc
 
 
@@ -304,26 +319,38 @@ def build_translator(spec: TranslatorSpec) -> Translator:
     return backend
 
 
-def build_scorer(
-    spec: ScorerSpec, dataset: Dataset | None = None, *, max_seq_len: int = 128
-) -> Scorer:
-    """Construct the scorer a spec describes. The lexical scorer is bound to
-    the dataset it will score (its idf table comes from that dataset's
-    candidates)."""
+def build_scorer(spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int) -> Scorer:
+    """Construct the scorer a spec describes for ranking ``texts``, the
+    candidate texts it will score. This is where a lexical scorer gets its idf
+    table: from those texts. The other kinds ignore them."""
     if spec.kind == "lexical":
-        if dataset is None:
-            raise ValueError("lexical scorer needs a dataset to build its idf table")
-        return LexicalScorer.from_dataset(dataset)
+        return LexicalScorer(IdfTable.from_texts(texts))
     if spec.kind == "remote":
-        return RemoteScorer(
-            spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size
-        )
+        return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
     return StaticScorer.from_jsonl(spec.scores_path)
 
 
 # ---------------------------------------------------------------------------
 # run records
 # ---------------------------------------------------------------------------
+
+_LIST = FieldKind("a JSON list", lambda v: isinstance(v, list))
+_STRINGS = FieldKind(
+    "an object of strings", lambda v: isinstance(v, dict) and all(map(TEXT.test, v.values()))
+)
+_NUMBERS = FieldKind(
+    "a list of JSON numbers", lambda v: isinstance(v, list) and all(map(NUMBER.test, v))
+)
+# in the order of the dataclass fields
+_RUN_RECORD = {
+    "run_name": TEXT, "config": FieldKind("a JSON object", lambda v: isinstance(v, dict)),
+    "started": TEXT, "finished": TEXT, "fingerprints": _STRINGS, "dev_maps": _NUMBERS,
+    "best_iteration": COUNT, "reports": _LIST, "deltas": _LIST,
+}
+_DELTA = {
+    "name": TEXT, "baseline": TEXT, "p_at_1_pct": NUMBER, "map_pct": NUMBER, "mrr_pct": NUMBER
+}
+
 
 @dataclass
 class RunRecord:
@@ -338,35 +365,12 @@ class RunRecord:
     deltas: list[DeltaReport]
 
     def to_dict(self) -> dict:
+        # the fields in declaration order, with reports and deltas in wire format
         return {
-            "run_name": self.run_name,
-            "config": self.config,
-            "started": self.started,
-            "finished": self.finished,
-            "fingerprints": self.fingerprints,
-            "dev_maps": self.dev_maps,
-            "best_iteration": self.best_iteration,
-            "reports": [
-                {**r.to_json_dict(), "n_excluded": r.num_excluded} for r in self.reports
-            ],
+            **vars(self),
+            "reports": [{**r.to_json_dict(), "n_excluded": r.num_excluded} for r in self.reports],
             "deltas": [d.to_json_dict() for d in self.deltas],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunRecord":
-        reports = [MetricsReport.from_json_dict(r) for r in raw["reports"]]
-        deltas = [DeltaReport(**d) for d in raw.get("deltas", [])]
-        return cls(
-            run_name=raw["run_name"],
-            config=raw["config"],
-            started=raw["started"],
-            finished=raw["finished"],
-            fingerprints=raw["fingerprints"],
-            dev_maps=raw["dev_maps"],
-            best_iteration=raw["best_iteration"],
-            reports=reports,
-            deltas=deltas,
-        )
 
     def save(self, path: str | Path) -> None:
         """Write atomically (temp file + rename)."""
@@ -380,11 +384,19 @@ class RunRecord:
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
         """Read a saved record; a malformed one raises ExperimentError naming the file."""
-        with Path(path).open("r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ExperimentError(f"{path}: bad run record: {exc}") from exc
+        where = str(path)
+        raw = read_json(path, ExperimentError, "run record")
+        try:
+            *head, reports, deltas = read_fields(
+                {"deltas": [], **raw} if isinstance(raw, dict) else raw, where, "run", _RUN_RECORD
+            )
+            return cls(
+                *head,
+                reports=[MetricsReport.from_json_dict(r, where) for r in reports],
+                deltas=[DeltaReport(*read_fields(d, where, "run", _DELTA)) for d in deltas],
+            )
+        except DatasetFormatError as exc:
+            raise ExperimentError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +437,13 @@ def run_experiment(
     for expr, data in test_data:
         fingerprints[f"test:{expr}"] = fingerprint_dataset(data)
 
-    rebind_per_test = False
+    def scorer_for(data: Dataset) -> Scorer:
+        return build_scorer(config.scorer, data.candidate_texts(), max_seq_len=hp.max_seq_len)
+
+    # the lexical baseline's idf table always comes from the dataset it scores
+    rebind_per_test = trainer is None and config.scorer.kind == "lexical"
     if trainer is None:
-        dev_scorer = build_scorer(config.scorer, dev_data, max_seq_len=hp.max_seq_len)
-        trainer = ConstantScorerTrainer(dev_scorer)
-        # the lexical baseline's idf table always comes from the dataset it scores
-        rebind_per_test = config.scorer.kind == "lexical"
+        trainer = ConstantScorerTrainer(scorer_for(dev_data))
 
     stop = early_stop_loop(
         trainer,
@@ -440,11 +453,7 @@ def run_experiment(
 
     reports = []
     for expr, data in test_data:
-        scorer = (
-            build_scorer(config.scorer, data, max_seq_len=hp.max_seq_len)
-            if rebind_per_test
-            else stop.best_scorer
-        )
+        scorer = scorer_for(data) if rebind_per_test else stop.best_scorer
         reports.append(evaluate_dataset(data, scorer, test_set=expr))
 
     deltas: list[DeltaReport] = []

@@ -103,15 +103,13 @@ class MetricsReport:
         }
 
     @classmethod
-    def from_json_dict(cls, raw) -> "MetricsReport":
+    def from_json_dict(cls, raw, where: str) -> "MetricsReport":
         """Inverse of ``to_json_dict``; also reads the optional ``n_excluded``
-        count that run records add. Raises DatasetFormatError when ``raw`` is
-        not an object, lacks a key, or holds a value of the wrong type."""
+        count that run records add. A non-object, a missing key or a value of
+        the wrong type raises DatasetFormatError naming ``where``."""
         return cls(
             *read_fields(
-                {"n_excluded": 0, **raw} if isinstance(raw, dict) else raw,
-                "metrics report",
-                "metrics",
+                {"n_excluded": 0, **raw} if isinstance(raw, dict) else raw, where, "metrics report",
                 {"test": TEXT, "n": COUNT, "p_at_1": SCORE, "map": SCORE, "mrr": SCORE,
                  "n_excluded": COUNT},
             )

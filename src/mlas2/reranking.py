@@ -1,10 +1,11 @@
 """Candidate scoring and ranking.
 
 Scorers assign each (question, candidate) pair a correctness probability in
-[0, 1]; ``rank`` orders a question's candidates by that score with
-deterministic id tie-breaking. Backends: a tf-idf lexical baseline, a static
-score table, an HTTP client for remote models, and a linear classification
-head applied to externally produced embeddings.
+[0, 1]; ``order`` sorts candidate ids by score with deterministic id
+tie-breaking, and ``rank`` scores one question's candidates and orders them.
+Backends: a tf-idf lexical baseline, a static score table, an HTTP client for
+remote models, and a linear classification head applied to externally
+produced embeddings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
-from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Dataset, Question, iter_jsonl, read_fields
+from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Question, iter_jsonl, read_fields
 from mlas2.wire import post_json
 
 
@@ -138,13 +139,6 @@ class TextPairScorer(Scorer):
 class LexicalScorer(TextPairScorer):
     def __init__(self, idf_table: IdfTable) -> None:
         self.idf_table = idf_table
-
-    @classmethod
-    def from_dataset(cls, dataset: Dataset) -> "LexicalScorer":
-        """Build the idf table from all candidate texts of a dataset."""
-        return cls(
-            IdfTable.from_texts(c.text for g in dataset.groups for c in g.candidates)
-        )
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Each distinct question text is vectorized once per call."""
@@ -292,20 +286,18 @@ def linear_head_apply(x, head: LinearHead) -> float:
 # ranking
 # ---------------------------------------------------------------------------
 
+def order(ids: Sequence[str], scores: Sequence[float]) -> list[tuple[str, float]]:
+    """Pair candidate ids with their scores, best first; ties break by id
+    ascending, so the result is deterministic and permutation-invariant."""
+    if len(scores) != len(ids):
+        raise ScoringError(f"scorer returned {len(scores)} scores for {len(ids)} candidates")
+    return sorted(zip(ids, map(float, scores)), key=lambda item: (-item[1], item[0]))
+
+
 def rank(
     question: Question, candidates: Sequence[AnswerCandidate], scorer: Scorer
 ) -> list[tuple[str, float]]:
-    """Order candidates by score, descending; ties break by candidate id
-    ascending, so the result is deterministic and permutation-invariant."""
+    """Score a question's candidates and ``order`` them."""
     if not candidates:
         raise ValueError(f"no candidates to rank for question {question.id!r}")
-    scores = scorer.score_candidates(question, list(candidates))
-    if len(scores) != len(candidates):
-        raise ScoringError(
-            f"scorer returned {len(scores)} scores for {len(candidates)} candidates"
-        )
-    ranked = sorted(
-        ((c.id, float(s)) for c, s in zip(candidates, scores)),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked
+    return order([c.id for c in candidates], scorer.score_candidates(question, list(candidates)))

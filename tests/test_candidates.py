@@ -4,10 +4,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_question
+from conftest import make_candidate, make_question
 from mlas2.candidates import (
     Document,
     DocumentCorpus,
@@ -250,20 +250,36 @@ def test_select_keeps_duplicate_sentences_distinct():
     assert {c.id for c in dupes} == {"d1:0", "d3:0"}
 
 
-def test_select_matches_score_and_sort_oracle():
-    corpus = build_index(TOY_DOCS)
-    scorer = _scorer(corpus)
-    q = make_question("q1", "what do cats chase")
-    got = [c.id for c in select_candidates(q, corpus, scorer, k_docs=3, k_sents=4)]
+# a small vocabulary, so sentences repeat and scores tie often
+_WORD = st.sampled_from(["cats", "chase", "mice", "sun", "star"])
+_SENTENCE = st.lists(_WORD, min_size=1, max_size=3).map(lambda ws: " ".join(ws) + ".")
+_DOC = st.lists(_SENTENCE, min_size=1, max_size=12).map(" ".join)
 
-    doc_order = retrieve_documents(q.text, corpus, 3)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    texts=st.lists(_DOC, min_size=1, max_size=4),
+    query=st.lists(_WORD, min_size=1, max_size=3).map(" ".join),
+    k_docs=st.integers(1, 4),
+    k_sents=st.integers(1, 30),
+)
+@example(
+    texts=[d["text"] for d in TOY_DOCS], query="what do cats chase", k_docs=3, k_sents=4
+)
+def test_select_matches_score_and_sort_oracle(texts, query, k_docs, k_sents):
+    corpus = build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts, start=1)])
+    scorer = _scorer(corpus)
+    q = make_question("q1", query)
+    got = select_candidates(q, corpus, scorer, k_docs=k_docs, k_sents=k_sents)
+
+    # score a record for every pooled sentence, sort by (-score, id), keep k_sents
     pool = []
-    for doc_id in doc_order:
+    for doc_id in retrieve_documents(q.text, corpus, k_docs):
         doc = next(d for d in corpus.documents if d.id == doc_id)
         for i, sentence in enumerate(split_sentences(doc.text)):
-            pool.append((f"{doc_id}:{i}", sentence))
-    scores = scorer.score_pairs([(q.text, text) for _, text in pool])
-    expected = [cid for (cid, _), _ in sorted(zip(pool, scores), key=lambda x: (-x[1], x[0][0]))][:4]
+            pool.append(make_candidate(f"{doc_id}:{i}", "q1", sentence, None))
+    scores = scorer.score_candidates(q, pool)
+    expected = [c for c, _ in sorted(zip(pool, scores), key=lambda x: (-x[1], x[0].id))][:k_sents]
     assert got == expected
 
 

@@ -255,10 +255,11 @@ def test_rank_to_stdout_matches_library(capsys, fixture_path):
     code, out, _ = run(capsys, "rank", fixture_path, "--scorer", "lexical")
     assert code == 0
 
-    from mlas2.reranking import LexicalScorer, rank as rank_fn
+    from mlas2.experiment import ScorerSpec, build_scorer
+    from mlas2.reranking import rank as rank_fn
 
     d = load_dataset(fixture_path, "train")
-    scorer = LexicalScorer.from_dataset(d)
+    scorer = build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)
     expected = [
         {"qid": g.question.id, "ranking": [[cid, s] for cid, s in rank_fn(g.question, g.candidates, scorer)]}
         for g in d.groups
@@ -355,6 +356,23 @@ def test_evaluate_malformed_baseline_exits_2(capsys, fixture_path, tmp_path, bas
     assert "baseline.json" in err and "metrics report" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000 + "]" * 200_000, "{broken"], ids=["nested-too-deeply", "invalid"]
+)
+def test_evaluate_unparsable_baseline_exits_2_before_any_output(capsys, fixture_path, tmp_path, text):
+    # the deep file ended in a RecursionError traceback; the invalid one exited 2
+    # without naming the file, after the report was already on stdout
+    base_path = tmp_path / "baseline.json"
+    base_path.write_text(text)
+    code, out, err = run(
+        capsys, "evaluate", fixture_path, "--scorer", "lexical", "--baseline", base_path
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{base_path}: bad metrics report: invalid JSON" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # candidates + experiment wiring
 # ---------------------------------------------------------------------------
@@ -396,6 +414,26 @@ def test_candidates_build_and_annotate(capsys, tmp_path):
     d = load_dataset(dataset_path, "test")
     assert validate_dataset(d) == []
     assert first_json(out)["candidates"] == d.num_candidates()
+
+
+@pytest.mark.parametrize("k_sents", [-1, 0])
+def test_candidates_build_rejects_k_sents_below_1(capsys, tmp_path, k_sents):
+    # -1 silently dropped the last candidate and 0 wrote no tasks, both with exit 0
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "d1", "text": "Cats chase mice. Cats sleep."}) + "\n")
+    questions_path = tmp_path / "questions.jsonl"
+    write_fixture(questions_path, [FIXTURE_LINES[0]])
+    tasks = tmp_path / "tasks.jsonl"
+    code, out, err = run(
+        capsys,
+        "candidates", "build",
+        "--corpus", corpus_path, "--questions", questions_path,
+        "--k-sents", k_sents, "--out", tasks,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"k_sents must be >= 1, got {k_sents}" in err
+    assert not tasks.exists()
 
 
 def test_experiment_run_null_run_name_exits_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -187,10 +188,21 @@ def test_config_file_not_an_object_names_the_file(tmp_path, text):
         {"pretrained_label": None},
         {"source": {"train": None, "dev": "src.jsonl", "test": "src.jsonl"}},
         {"baseline_run": 3},
+        {"scorer": {"kind": "lexical", "batch_size": "big"}},
+        {"scorer": {"kind": "static", "scores_path": 5}},
+        {"scorer": [1]},
+        {"translator": {"endpoint": 5}},
+        {"translator": {"kind": "mock", "cache_path": ["c.jsonl"]}},
+        {"hyperparameters": {"seed": "x"}},
+        {"hyperparameters": {"learning_rate": "high"}},
+        {"hyperparameters": {"max_iterations": 2.0}},
+        {"hyperparameters": {"max_seq_len": True}},
     ],
     ids=[
         "null-run-name", "string-test-exprs", "number-in-test-exprs", "number-expr",
-        "null-label", "null-source", "number-baseline",
+        "null-label", "null-source", "number-baseline", "string-scorer-batch-size",
+        "number-scores-path", "list-scorer", "number-translator-endpoint", "list-cache-path",
+        "string-seed", "string-learning-rate", "float-max-iterations", "bool-max-seq-len",
     ],
 )
 def test_config_wrongly_typed_field_names_the_file(tmp_path, overrides):
@@ -199,6 +211,20 @@ def test_config_wrongly_typed_field_names_the_file(tmp_path, overrides):
     with pytest.raises(ExperimentError, match="bad config") as info:
         ExperimentConfig.from_json(path)
     assert str(path) in str(info.value)
+
+
+def test_config_sections_keep_their_values(tmp_path):
+    # typing the sections reads values, never converts them: an integer
+    # learning rate stays an integer in the snapshot
+    scorer = {"kind": "remote", "endpoint": "http://127.0.0.1:1/score", "batch_size": 7}
+    translator = {"kind": "http", "endpoint": None, "cache_path": "cache.jsonl"}
+    hp = {"learning_rate": 1, "max_seq_len": 64, "max_iterations": 2, "batch_size": 8, "seed": -3}
+    path = write_config(tmp_path, scorer=scorer, translator=translator, hyperparameters=hp)
+    config = asdict(ExperimentConfig.from_json(path))
+    assert config["scorer"] == {**scorer, "scores_path": None}
+    assert config["translator"] == {**translator, "cache_path": str(tmp_path / "cache.jsonl")}
+    assert config["hyperparameters"] == hp
+    assert type(config["hyperparameters"]["learning_rate"]) is int
 
 
 def test_config_baseline_run_may_be_null(tmp_path):
@@ -351,6 +377,46 @@ def test_run_record_round_trip(tmp_path):
     record = run_experiment(config, results_dir=tmp_path / "runs")
     loaded = RunRecord.load(tmp_path / "runs" / "toy-run.json")
     assert loaded.to_dict() == record.to_dict()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"run_name": 5},
+        {"dev_maps": "abc"},
+        {"dev_maps": [0.5, "0.6"]},
+        {"best_iteration": "3"},
+        {"fingerprints": {"ft": 5}},
+        {"config": []},
+        {"deltas": [{"name": "En", "baseline": "b", "p_at_1_pct": "1", "map_pct": 0, "mrr_pct": 0}]},
+        {"deltas": [{"name": "En", "baseline": "b"}]},
+    ],
+    ids=[
+        "number-run-name", "string-dev-maps", "string-in-dev-maps", "string-best-iteration",
+        "number-fingerprint", "list-config", "string-delta", "delta-missing-metrics",
+    ],
+)
+def test_run_record_wrongly_typed_field_names_the_file(tmp_path, overrides):
+    # before, each of these loaded as it was and DeltaReport took any values
+    _, src = setup_sources(tmp_path)
+    record = run_experiment(ExperimentConfig.from_json(write_config(tmp_path)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**record.to_dict(), **overrides}))
+    with pytest.raises(ExperimentError, match="bad run record") as info:
+        RunRecord.load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000 + "]" * 200_000, "{broken"], ids=["nested-too-deeply", "invalid"]
+)
+def test_run_record_invalid_json_names_the_file(tmp_path, text):
+    # json.load raised RecursionError on the deep file, which is no ValueError
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    with pytest.raises(ExperimentError, match="bad run record: invalid JSON") as info:
+        RunRecord.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_run_experiment_records_hyperparameters(tmp_path):

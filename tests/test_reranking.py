@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_candidate, make_question
+from mlas2.experiment import ScorerSpec, build_scorer
 from mlas2.reranking import (
     IdfTable,
     LexicalScorer,
@@ -18,6 +19,7 @@ from mlas2.reranking import (
     StaticScorer,
     lexical_score,
     linear_head_apply,
+    order,
     rank,
     tokenize,
 )
@@ -270,6 +272,13 @@ def test_rank_monotone_transform_invariant():
         assert order == base_order
 
 
+def test_order_sorts_by_score_then_id():
+    assert order(["c2", "c10", "c1"], [0.5, 0.5, 0.9]) == [("c1", 0.9), ("c10", 0.5), ("c2", 0.5)]
+    assert order([], []) == []
+    with pytest.raises(ScoringError, match="returned 1 scores for 2 candidates"):
+        order(["c1", "c2"], [0.5])
+
+
 def test_rank_rejects_empty_and_bad_scorer():
     q = make_question("q1", "question")
     with pytest.raises(ValueError, match="no candidates"):
@@ -284,7 +293,7 @@ def test_rank_rejects_empty_and_bad_scorer():
 
 
 def test_lexical_scorer_from_dataset(tiny_dataset):
-    scorer = LexicalScorer.from_dataset(tiny_dataset)
+    scorer = build_scorer(ScorerSpec("lexical"), tiny_dataset.candidate_texts(), max_seq_len=128)
     group = tiny_dataset.groups[1]
     ranked = rank(group.question, group.candidates, scorer)
     assert len(ranked) == 3

@@ -1,11 +1,15 @@
 """Rules the package source itself must follow."""
 
 import ast
+import importlib
+import importlib.util
+from operator import attrgetter
 from pathlib import Path
 
 import mlas2
 
 PACKAGE_DIR = Path(mlas2.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_no_assert_in_package():
@@ -37,3 +41,20 @@ def test_no_coercion_of_record_fields():
         )
     ]
     assert found == []
+
+
+def test_bench_trace_targets_resolve():
+    # the traced benchmark patches each target in place, so renaming a traced
+    # entry point (say mlas2.experiment.rank) must fail here, not in that run
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, path, _count in tracing.TARGETS:
+        owner_name, _, attr = path.rpartition(".")
+        module = importlib.import_module(module_name)
+        owner = attrgetter(owner_name)(module) if owner_name else module
+        # install() reads a method from the class's own __dict__
+        if attr not in vars(owner):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []
