@@ -181,9 +181,9 @@ def cmd_rank(args) -> int:
     d = load_dataset(args.dataset, args.split)
     scorer = _scorer(args, d.candidate_texts())
     text = "".join(
-        json.dumps({"qid": g.question.id, "ranking": rank(g.question, g.candidates, scorer)},
+        json.dumps({"qid": g.question.id, "ranking": rank(g.question, g.candidates, bound)},
                    ensure_ascii=False) + "\n"
-        for g in d.groups
+        for g, bound in zip(d.groups, scorer.bind_groups(d.groups))
     )
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

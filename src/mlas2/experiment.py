@@ -95,6 +95,8 @@ class ScorerSpec:
             raise ValueError("remote scorer needs an endpoint")
         if self.kind == "static" and not self.scores_path:
             raise ValueError("static scorer needs a scores_path")
+        if self.batch_size < 1:
+            raise ValueError(f"scorer batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -290,12 +292,13 @@ def early_stop_loop(
 
 def evaluate_dataset(dataset: Dataset, scorer: Scorer, *, test_set: str | None = None) -> MetricsReport:
     """Drop unanswerable questions, rank every remaining group, and aggregate
-    P@1 / MAP / MRR. The number of excluded questions is recorded on the report."""
-    answerable = filter_answerable(dataset)
-    excluded = len(dataset.groups) - len(answerable.groups)
+    P@1 / MAP / MRR. A text-pair scorer scores all remaining groups in one
+    call. The number of excluded questions is recorded on the report."""
+    groups = filter_answerable(dataset).groups
+    excluded = len(dataset.groups) - len(groups)
     rankings = [
-        judge(group, rank(group.question, group.candidates, scorer))
-        for group in answerable.groups
+        judge(group, rank(group.question, group.candidates, bound))
+        for group, bound in zip(groups, scorer.bind_groups(groups))
     ]
     return evaluate(
         rankings,

@@ -3,6 +3,8 @@
 Scorers assign each (question, candidate) pair a correctness probability in
 [0, 1]; ``order`` sorts candidate ids by score with deterministic id
 tie-breaking, and ``rank`` scores one question's candidates and orders them.
+``Scorer.bind_groups`` lets a text-pair scorer score a whole dataset's groups
+in one call before each group is ranked.
 Backends: a tf-idf lexical baseline, a static score table, an HTTP client for
 remote models, and a linear classification head applied to externally
 produced embeddings.
@@ -15,13 +17,14 @@ import re
 import reprlib
 from abc import ABC, abstractmethod
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 import requests
 
-from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Question, iter_jsonl, read_fields
+from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Question, QuestionGroup, iter_jsonl, read_fields
 from mlas2.wire import post_json
 
 
@@ -122,6 +125,11 @@ class Scorer(ABC):
     ) -> list[float]:
         ...
 
+    def bind_groups(self, groups: Sequence[QuestionGroup]) -> list["Scorer"]:
+        """One scorer per group that scores that group's candidates as this
+        scorer does. Here each group is scored when it is ranked."""
+        return [self] * len(groups)
+
 
 class TextPairScorer(Scorer):
     """Scorer that only looks at the (question text, candidate text) pair."""
@@ -134,6 +142,30 @@ class TextPairScorer(Scorer):
     @abstractmethod
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         ...
+
+    def bind_groups(self, groups: Sequence[QuestionGroup]) -> list[Scorer]:
+        """Score every group's pairs in one ``score_pairs`` call; each group
+        gets its own slice of the scores. A wrong total count is a
+        ``ScoringError``, never a truncation."""
+        pairs = [(g.question.text, c.text) for g in groups for c in g.candidates]
+        scores = self.score_pairs(pairs)
+        if len(scores) != len(pairs):
+            raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
+        rest = iter(scores)
+        return [_FixedScores(list(islice(rest, len(g.candidates)))) for g in groups]
+
+
+class _FixedScores(Scorer):
+    """The scores of one bound group, returned as they are; ``order`` checks
+    their count against the candidates ranked."""
+
+    def __init__(self, scores: list[float]) -> None:
+        self.scores = scores
+
+    def score_candidates(
+        self, question: Question, candidates: Sequence[AnswerCandidate]
+    ) -> list[float]:
+        return self.scores
 
 
 class LexicalScorer(TextPairScorer):
@@ -203,6 +235,8 @@ class RemoteScorer(TextPairScorer):
         batch_size: int = 128,
         session: requests.Session | None = None,
     ) -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.endpoint = endpoint
         self.max_seq_len = max_seq_len
         self.batch_size = batch_size

@@ -42,7 +42,8 @@ class _CountingServer(ThreadingHTTPServer):
 class _JsonHandler(BaseHTTPRequestHandler):
     """The mock services' one POST path: count the request, check ``path_served``,
     parse a JSON body, and reply with ``answer(body) -> (status, payload)``; a body
-    ``answer`` cannot read (``DatasetFormatError``) gets a 400."""
+    that is not JSON, is nested too deeply to parse, or that ``answer`` cannot
+    read (``DatasetFormatError``) gets a 400."""
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -64,7 +65,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
             # a negative length would make read() wait for the client to close
             length = max(0, int(self.headers.get("Content-Length", 0)))
             body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             return 400, {"error": "invalid JSON body"}
         try:
             return self.answer(body)

@@ -3,9 +3,10 @@
 Policy: up to ``ATTEMPTS`` tries per request. Failures a retry can cure (a
 failed connection, a timeout, a 5xx response) are retried after ``BACKOFF_S``
 seconds, doubling each time. Any other request error (such as an endpoint
-without a scheme), any other non-200 status, invalid JSON, or a body that is
-not a JSON object fails at once. Every failure is raised as the caller's
-typed ``error``, with the ``service`` name in its message.
+without a scheme), any other non-200 status, invalid JSON (including JSON
+nested too deeply to parse), or a body that is not a JSON object fails at
+once. Every failure is raised as the caller's typed ``error``, with the
+``service`` name in its message.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ def post_json(
         body = resp.json()
     except ValueError as exc:
         raise error(f"{service} returned invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{service} returned invalid JSON: nested too deeply") from exc
     if not isinstance(body, dict):
         raise error(f"{service} returned a JSON {type(body).__name__}, not an object")
     return body

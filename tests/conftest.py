@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
+from mlas2.reranking import TextPairScorer
 
 
 def make_question(qid: str, text: str, lang: str = "en") -> Question:
@@ -61,3 +63,34 @@ def make_synthetic_dataset(
         labeled = [(f"answer {i} variant {j} token{j}", 1 if j == 0 else 0) for j in range(cands_per_question)]
         groups.append(make_group(f"q{i:03d}", f"question number {i} about topic{i}", labeled, lang))
     return make_dataset(groups, name="En", split="train")
+
+
+class CountingTieScorer(TextPairScorer):
+    """Text-pair scorer with three distinct scores, so most rankings hold
+    ties; it counts its ``score_pairs`` calls and the pairs they carried."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.pairs = 0
+
+    def score_pairs(self, pairs):
+        self.calls += 1
+        self.pairs += len(pairs)
+        return [(len(q) + len(t)) % 3 / 2 for q, t in pairs]
+
+
+# a small vocabulary, so question texts repeat across groups and scores tie
+_texts = st.lists(
+    st.sampled_from(["sky", "blue", "cat", "sun", "star", "legs"]), min_size=1, max_size=3
+).map(" ".join)
+
+
+@st.composite
+def tie_heavy_datasets(draw) -> Dataset:
+    """Datasets of 1-6 groups of 1-5 candidates with random labels; some
+    groups are unanswerable."""
+    groups = []
+    for i in range(draw(st.integers(1, 6))):
+        labeled = draw(st.lists(st.tuples(_texts, st.sampled_from([0, 1])), min_size=1, max_size=5))
+        groups.append(make_group(f"q{i}", draw(_texts), labeled))
+    return make_dataset(groups)

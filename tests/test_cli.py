@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import mlas2
-from conftest import make_dataset, make_group
+from conftest import CountingTieScorer, make_dataset, make_group, tie_heavy_datasets
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
 from test_dataset import FIXTURE_LINES, write_fixture
@@ -268,6 +270,47 @@ def test_rank_to_stdout_matches_library(capsys, fixture_path):
     assert got == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=tie_heavy_datasets())
+def test_rank_equals_per_group_rank(d):
+    from mlas2.experiment import ScorerSpec, build_scorer
+    from mlas2.reranking import rank as rank_fn
+
+    def per_group(scorer):
+        return [
+            {"qid": g.question.id,
+             "ranking": [[cid, s] for cid, s in rank_fn(g.question, g.candidates, scorer)]}
+            for g in d.groups
+        ]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.jsonl", Path(tmp) / "ranked.jsonl"
+        save_dataset(d, data)
+
+        def ranked(*flags):
+            assert main(["rank", str(data), "--out", str(out), *flags]) == 0
+            return [json.loads(l) for l in out.read_text().splitlines()]
+
+        lexical = build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)
+        assert ranked("--scorer", "lexical") == per_group(lexical)
+        counting = CountingTieScorer()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("mlas2.cli._scorer", lambda args, texts: counting)
+            assert ranked() == per_group(CountingTieScorer())
+    # one call over every group's pairs
+    assert counting.calls == 1
+    assert counting.pairs == sum(len(g.candidates) for g in d.groups)
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_batch_size_below_1_exits_1(capsys, fixture_path, batch_size):
+    code, out, err = run(capsys, "rank", fixture_path, "--scorer", "remote",
+                         "--endpoint", "http://127.0.0.1:1/score", "--batch-size", batch_size)
+    assert code == 1
+    assert out == ""
+    assert "batch_size must be >= 1" in err
+
+
 def test_evaluate_perfect_static_scorer(capsys, fixture_path, tmp_path):
     d = load_dataset(fixture_path, "train")
     scores = perfect_scores_path(tmp_path, d)
@@ -455,6 +498,28 @@ def test_experiment_run_null_run_name_exits_2(capsys, tmp_path):
     assert code == 2
     assert "config.json: bad config record: 'run_name' must be a JSON string" in err
     assert not (runs / "None.json").exists()
+
+
+def test_experiment_run_batch_size_0_exits_2(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "run_name": "zero-batch",
+                "source": {"train": "src.jsonl", "dev": "src.jsonl", "test": "src.jsonl"},
+                "ft_expr": "En",
+                "dev_expr": "En",
+                "test_exprs": ["En"],
+                "scorer": {"kind": "lexical", "batch_size": 0},
+            }
+        )
+    )
+    runs = tmp_path / "runs"
+    code, out, err = run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)
+    assert code == 2
+    assert out == ""
+    assert "config.json: bad config" in err and "batch_size must be >= 1" in err
+    assert not runs.exists()
 
 
 def test_experiment_run_cli(capsys, tmp_path):

@@ -2,10 +2,17 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import make_dataset, make_group, make_synthetic_dataset
+from conftest import (
+    CountingTieScorer,
+    make_dataset,
+    make_group,
+    make_synthetic_dataset,
+    tie_heavy_datasets,
+)
 from mlas2.algebra import CompositionParseError
-from mlas2.dataset import save_dataset
+from mlas2.dataset import filter_answerable, save_dataset
 from mlas2.experiment import (
     ConstantScorerTrainer,
     ExperimentConfig,
@@ -20,7 +27,8 @@ from mlas2.experiment import (
     run_experiment,
     scripted_dev_map,
 )
-from mlas2.reranking import StaticScorer
+from mlas2.metrics import evaluate, judge
+from mlas2.reranking import IdfTable, LexicalScorer, ScoringError, StaticScorer, rank
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,40 @@ def test_evaluate_dataset_empty_after_filtering():
         evaluate_dataset(d, perfect_scorer_for(d))
 
 
+def per_group_report(dataset, scorer):
+    """Reference: rank each answerable group with its own scorer call."""
+    answerable = filter_answerable(dataset)
+    rankings = [judge(g, rank(g.question, g.candidates, scorer)) for g in answerable.groups]
+    return evaluate(
+        rankings, test_set=dataset.name, num_excluded=len(dataset.groups) - len(answerable.groups)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=tie_heavy_datasets())
+def test_evaluate_dataset_equals_per_group_rank(d):
+    assume(filter_answerable(d).groups)
+    lexical = LexicalScorer(IdfTable.from_texts(d.candidate_texts()))
+    assert evaluate_dataset(d, lexical) == per_group_report(d, lexical)
+    counting = CountingTieScorer()
+    assert evaluate_dataset(d, counting) == per_group_report(d, CountingTieScorer())
+    # one call over every answerable group's pairs
+    assert counting.calls == 1
+    assert counting.pairs == sum(len(g.candidates) for g in filter_answerable(d).groups)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_evaluate_dataset_wrong_score_count_is_an_error(tiny_dataset, extra):
+    # one score too many must not be cut off: every group would get a slice
+    class OffByOne(CountingTieScorer):
+        def score_pairs(self, pairs):
+            scores = super().score_pairs(pairs)
+            return scores[:-1] if extra < 0 else scores + [0.5]
+
+    with pytest.raises(ScoringError, match=f"returned {5 + extra} scores for 5 pairs"):
+        evaluate_dataset(tiny_dataset, OffByOne())
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -160,6 +202,7 @@ def test_config_missing_field(tmp_path):
         {"scorer": {"kind": "bogus"}},
         {"hyperparameters": {"max_iterations": 0}},
         {"test_exprs": []},
+        {"scorer": {"kind": "lexical", "batch_size": 0}},
     ],
 )
 def test_config_value_error_names_the_file(tmp_path, overrides):
@@ -249,6 +292,14 @@ def test_scorer_spec_validation():
         ScorerSpec(kind="static")
     with pytest.raises(ValueError, match="unknown translator"):
         TranslatorSpec(kind="carrier-pigeon")
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_scorer_spec_rejects_batch_size_below_1(batch_size):
+    # before, -1 made a remote scorer send nothing and 0 failed inside range()
+    for kind, extra in [("lexical", {}), ("remote", {"endpoint": "http://127.0.0.1:1/score"})]:
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            ScorerSpec(kind, batch_size=batch_size, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlas2.reranking import IdfTable, RemoteScorer, ScoringError, lexical_score
+from conftest import make_dataset, make_group, make_synthetic_dataset
+from mlas2.experiment import evaluate_dataset
+from mlas2.reranking import IdfTable, RemoteScorer, ScoringError, StaticScorer, lexical_score
 from mlas2.servers import (
     load_pair_scores,
     make_scorer_server,
@@ -280,6 +284,60 @@ def test_remote_batching_three_requests_same_result():
         server.server_close()
 
 
+def test_evaluate_dataset_sends_one_request_per_batch():
+    # the unanswerable group is not in the table: sending it would be a 400
+    answerable = make_synthetic_dataset(num_questions=30, cands_per_question=10).groups
+    d = make_dataset(answerable + (make_group("qx", "no answer", [("none", 0)]),))
+    table = {
+        (g.question.text, c.text): (i * 7 % 10) / 10
+        for g in answerable
+        for i, c in enumerate(g.candidates)
+    }
+    by_id = {
+        (g.question.id, c.id): table[(g.question.text, c.text)]
+        for g in answerable
+        for c in g.candidates
+    }
+    server = scorer_server(pair_scores=table)
+    try:
+        report = evaluate_dataset(d, RemoteScorer(url(server, "/score"), batch_size=64))
+        assert server.request_count == math.ceil(300 / 64)
+        assert report == evaluate_dataset(d, StaticScorer(by_id))
+        assert report.num_excluded == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_remote_scorer_rejects_batch_size_below_1(batch_size):
+    # before, -1 returned [] without a request and 0 failed inside range()
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        RemoteScorer("http://127.0.0.1:1/score", batch_size=batch_size)
+
+
+def test_scorer_server_scores_depend_on_the_batch_only_in_lexical_mode():
+    # lexical mode takes its idf from the request's candidate texts, so a pair
+    # scored alone and among others can differ; table mode scores each pair
+    # by itself, which is what batching a whole dataset per request needs
+    pair = ("blue sky", "the sky is blue")
+    others = [("blue sky", "the sun is hot"), ("blue sky", "the cat is here")]
+    table = {p: 0.25 * i for i, p in enumerate([pair] + others)}
+    for pair_scores in (None, table):
+        server = scorer_server(pair_scores=pair_scores)
+        try:
+            scorer = RemoteScorer(url(server, "/score"))
+            alone = scorer.score_pairs([pair])[0]
+            among = scorer.score_pairs(others + [pair])[-1]
+        finally:
+            server.shutdown()
+            server.server_close()
+        if pair_scores is None:
+            assert alone != among
+        else:
+            assert alone == among == table[pair]
+
+
 def test_scorer_server_lexical_mode_matches_local():
     server = scorer_server()
     try:
@@ -422,6 +480,38 @@ def test_any_reply_gives_a_valid_result_or_the_typed_error(status, body, scorer_
             assert isinstance(exc, ScoringError if scorer_side else TranslationError)
     # 5xx is retried to the attempt limit; everything else is decided by one POST
     assert session.posts == (3 if status >= 500 else 1)
+
+
+class _DeepReplySession:
+    """Every POST gets a 200 whose body is JSON nested too deeply to parse."""
+
+    def post(self, *args, **kwargs):
+        resp = requests.models.Response()
+        resp.status_code = 200
+        resp._content = b"[" * 200_000 + b"]" * 200_000
+        return resp
+
+
+def test_reply_nested_too_deeply_is_the_typed_error():
+    # resp.json() raises RecursionError here, which is no ValueError
+    scorer = RemoteScorer("http://scorer.invalid/score", session=_DeepReplySession())
+    with pytest.raises(ScoringError, match="scorer returned invalid JSON: nested too deeply"):
+        scorer.score_pairs([("q", "t")])
+    client = HttpTranslator("http://translator.invalid/translate", session=_DeepReplySession())
+    with pytest.raises(TranslationError, match="translator returned invalid JSON: nested too deeply"):
+        client.translate_batch(TranslationRequest(["x"], "en", "de"))
+
+
+def test_request_nested_too_deeply_is_400():
+    # before, the handler thread died and the client saw a dropped connection
+    server = scorer_server()
+    try:
+        resp = requests.post(url(server, "/score"), data=b"[" * 200_000 + b"]" * 200_000, timeout=10)
+        assert resp.status_code == 400
+        assert resp.json() == {"error": "invalid JSON body"}
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_remote_scorer_dead_endpoint(sleeps):
