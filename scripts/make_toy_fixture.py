@@ -111,17 +111,15 @@ def main() -> None:
 
     sys.path.insert(0, str(ROOT / "src"))
     from mlas2.algebra import materialize, parse_composition
-    from mlas2.candidates import load_corpus, select_candidates, split_sentences
+    from mlas2.candidates import load_corpus, select_candidates
     from mlas2.dataset import load_questions
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import IdfTable, LexicalScorer, lexical_score, rank
+    from mlas2.reranking import LexicalScorer, lexical_score, rank
     from mlas2.translation import MockTranslator
 
     corpus = load_corpus(corpus_path)
     questions = load_questions(questions_path)
-    sentence_idf = IdfTable.from_texts(
-        s for doc in corpus.documents for s in split_sentences(doc.text)
-    )
+    sentence_idf = corpus.sentence_idf
     scorer = LexicalScorer(sentence_idf)
 
     answers = {qid: subs for qid, _, subs in QUESTIONS}

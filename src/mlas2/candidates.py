@@ -5,14 +5,17 @@ and round-trip annotation task files into labeled datasets.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import re
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from mlas2.dataset import (
     LABEL,
@@ -25,7 +28,16 @@ from mlas2.dataset import (
     iter_jsonl,
     read_fields,
 )
-from mlas2.reranking import IdfTable, TextPairScorer, order, tokenize
+from mlas2.reranking import (
+    IdfTable,
+    LexicalScorer,
+    TextPairScorer,
+    cosine,
+    doc_norm,
+    order,
+    tokenize,
+    vector_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -35,12 +47,21 @@ class Document:
 
 
 class DocumentCorpus:
-    """Immutable inverted index over a document collection.
+    """Immutable index over a document collection, built in one pass that
+    tokenizes each sentence once.
 
-    Postings map each term to (doc id, term frequency) pairs sorted by doc id.
-    Term weights come from an ``IdfTable`` whose document frequencies are the
-    posting-list lengths, and per-document tf-idf norms are precomputed for
-    cosine retrieval.
+    Documents are numbered in id order. The postings are compact: for each
+    term id of ``idf_table``, the numbers of the documents that hold the
+    term and its frequency in each, as two integer columns in document order
+    (so in id order). ``idf_table`` weighs terms by these document
+    frequencies, and each document's tf-idf norm is kept for cosine
+    retrieval.
+
+    The same pass builds a forward index of the corpus sentences, numbered
+    in document order: each sentence's span in its document, its term ids
+    and tf-idf weights in first-occurrence order, and its norm. The weights
+    come from ``sentence_idf``, the idf table over every corpus sentence,
+    which ``score_sentences`` scores against.
     """
 
     def __init__(self, documents: Sequence[Document]) -> None:
@@ -51,33 +72,101 @@ class DocumentCorpus:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
         self.documents: tuple[Document, ...] = tuple(docs)
-        self.by_id = {doc.id: doc for doc in docs}
-        self._ids_sorted: tuple[str, ...] = tuple(sorted(self.by_id))
+        self._docs = tuple(sorted(docs, key=lambda doc: doc.id))
+        self._numbers = {doc.id: n for n, doc in enumerate(self._docs)}
 
-        index: dict[str, list[tuple[str, int]]] = {}
-        doc_terms: list[Counter[str]] = []
-        for doc in docs:
-            counts = Counter(tokenize(doc.text))
-            doc_terms.append(counts)
-            for term, tf in counts.items():
-                index.setdefault(term, []).append((doc.id, tf))
-        for postings in index.values():
-            postings.sort()
-        self._index = index
-        self.idf_table = IdfTable(
-            {term: len(postings) for term, postings in index.items()}, len(docs)
+        ids: dict[str, int] = {}  # term -> id, in first-seen order
+        doc_terms, doc_tfs, doc_first = array("i"), array("i"), array("q", [0])
+        sent_terms, sent_tfs = array("i"), array("i")
+        self._sentence_first = array("q", [0])  # per document, then the total
+        self._term_first = array("q", [0])  # per sentence, then the total
+        self._starts, self._ends = array("q"), array("q")  # per sentence
+        for doc in self._docs:
+            doc_tokens: list[str] = []
+            sentences: list[Counter[str]] = []
+            for start, end in sentence_spans(doc.text):
+                tokens = tokenize(doc.text[start:end])
+                doc_tokens += tokens
+                sentences.append(Counter(tokens))
+                self._starts.append(start)
+                self._ends.append(end)
+            # only whitespace lies between sentences, so their tokens are
+            # exactly the document's
+            counts = Counter(doc_tokens)
+            for term in counts:
+                if term not in ids:
+                    ids[term] = len(ids)
+            doc_terms.extend(map(ids.__getitem__, counts))
+            doc_tfs.extend(counts.values())
+            doc_first.append(len(doc_terms))
+            for sentence in sentences:
+                sent_terms.extend(map(ids.__getitem__, sentence))
+                sent_tfs.extend(sentence.values())
+                self._term_first.append(len(sent_terms))
+            self._sentence_first.append(len(self._term_first) - 1)
+
+        terms = np.asarray(doc_terms)
+        by_term = np.argsort(terms, kind="stable")
+        doc_df = np.bincount(terms, minlength=len(ids))
+        self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
+        self._post_docs = np.repeat(np.arange(len(docs)), np.diff(doc_first))[by_term]
+        self._post_tfs = np.asarray(doc_tfs)[by_term]
+        self.idf_table = IdfTable(dict(zip(ids, doc_df.tolist())), len(docs))
+        weights = self.idf_table.weights(doc_terms, doc_tfs)
+        self._norms = np.array(
+            [doc_norm(weights[a:b].tolist()) for a, b in pairwise(doc_first)]
         )
 
-        self._norms: dict[str, float] = {
-            doc.id: self.idf_table.counts_norm(counts) for doc, counts in zip(docs, doc_terms)
-        }
+        sent_df = np.bincount(np.asarray(sent_terms), minlength=len(ids))
+        self.sentence_idf = IdfTable(dict(zip(ids, sent_df.tolist())), len(self._term_first) - 1)
+        self._terms = sent_terms
+        self._weights = array("d", self.sentence_idf.weights(sent_terms, sent_tfs).tobytes())
+        self._sentence_norms = array(
+            "d", (vector_norm(self._weights[a:b]) for a, b in pairwise(self._term_first))
+        )
 
     @property
     def num_docs(self) -> int:
         return len(self.documents)
 
     def postings(self, term: str) -> list[tuple[str, int]]:
-        return list(self._index.get(term, ()))
+        """(doc id, term frequency) pairs of a term, in doc id order."""
+        t = self.idf_table.term_ids.get(term)
+        if t is None:
+            return []
+        span = slice(self._post_first[t], self._post_first[t + 1])
+        docs, tfs = self._post_docs[span].tolist(), self._post_tfs[span].tolist()
+        return [(self._docs[n].id, tf) for n, tf in zip(docs, tfs)]
+
+    def sentences(self, doc_id: str) -> range:
+        """The numbers of a document's sentences, in text order."""
+        n = self._numbers[doc_id]
+        return range(self._sentence_first[n], self._sentence_first[n + 1])
+
+    def sentence_text(self, number: int) -> str:
+        doc = self._docs[bisect_right(self._sentence_first, number) - 1]
+        return doc.text[self._starts[number] : self._ends[number]]
+
+    def score_sentences(self, query: str, numbers: Iterable[int]) -> list[float]:
+        """Lexical scores of ``query`` against the numbered sentences: what
+        ``LexicalScorer(self.sentence_idf).score_pairs`` gives for their
+        texts, read from the forward index instead of re-tokenizing them."""
+        table = self.sentence_idf
+        weights, q_norm = table.vector_with_norm(query)
+        term_ids = table.term_ids
+        # a term no sentence holds keeps its text as its key: it matches no
+        # sentence term but still counts toward the vector's length
+        q = {term_ids.get(term, term): w for term, w in weights.items()}
+        terms, first, norms = self._terms, self._term_first, self._sentence_norms
+        return [
+            cosine(
+                q,
+                q_norm,
+                dict(zip(terms[first[j] : first[j + 1]], self._weights[first[j] : first[j + 1]])),
+                norms[j],
+            )
+            for j in numbers
+        ]
 
 
 def build_index(docs: Iterable[Document | dict]) -> DocumentCorpus:
@@ -108,24 +197,24 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     if not q_weights:
         raise ValueError("query has no tokens after tokenization")
 
-    # dot products over postings only; every other document scores 0
-    dots: dict[str, float] = {}
+    # dot products over postings only, added per document in query-term
+    # order; every other document scores 0
+    dots = np.zeros(corpus.num_docs)
+    first, term_ids = corpus._post_first, table.term_ids
     for term, qw in q_weights.items():
-        idf = table.idf(term)
-        for doc_id, tf in corpus._index.get(term, ()):
-            dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf
+        t = term_ids.get(term)
+        if t is not None:
+            span = slice(first[t], first[t + 1])
+            dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(term)
 
-    norms = corpus._norms
-    ranked = [
-        doc_id
-        for _, doc_id in heapq.nsmallest(
-            k, ((-(dot / (q_norm * norms[doc_id])), doc_id) for doc_id, dot in dots.items())
-        )
-    ]
+    # every weight is at least 1, so a document matches exactly when its dot
+    # is nonzero; a stable sort keeps tied documents in id order
+    matched = np.flatnonzero(dots)
+    scores = dots[matched] / (q_norm * corpus._norms[matched])
+    ranked = matched[np.argsort(-scores, kind="stable")[:k]]
     if len(ranked) < k:
-        fill = (doc_id for doc_id in corpus._ids_sorted if doc_id not in dots)
-        ranked.extend(itertools.islice(fill, k - len(ranked)))
-    return ranked
+        ranked = np.concatenate((ranked, np.flatnonzero(dots == 0.0)[: k - len(ranked)]))
+    return [corpus._docs[n].id for n in ranked.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +264,28 @@ def select_candidates(
     against the question in one call, and keep the best k_sents (ties by
     candidate id); records are built only for the sentences kept.
 
+    The lexical scorer over the corpus's own sentence table scores the pool
+    from the forward index; any other scorer gets the sentence texts.
     Candidate ids are ``{doc_id}:{sentence_index}``; labels stay None until
     annotation.
     """
     if k_sents < 1:
         raise ValueError(f"k_sents must be >= 1, got {k_sents}")
-    pool: dict[str, str] = {}
+    pool: dict[str, int] = {}
     for doc_id in retrieve_documents(question.text, corpus, k_docs):
-        for i, sentence in enumerate(split_sentences(corpus.by_id[doc_id].text)):
-            pool[f"{doc_id}:{i}"] = sentence
+        for i, number in enumerate(corpus.sentences(doc_id)):
+            pool[f"{doc_id}:{i}"] = number
     if not pool:
         raise ValueError(f"no candidate sentences for question {question.id!r}")
-    scores = scorer.score_pairs([(question.text, sentence) for sentence in pool.values()])
+    if type(scorer) is LexicalScorer and scorer.idf_table is corpus.sentence_idf:
+        scores = corpus.score_sentences(question.text, pool.values())
+    else:
+        scores = scorer.score_pairs(
+            [(question.text, corpus.sentence_text(number)) for number in pool.values()]
+        )
     lang = question.language
     return [
-        AnswerCandidate(cid, question.id, cid, pool[cid], None, lang, (lang,))
+        AnswerCandidate(cid, question.id, cid, corpus.sentence_text(pool[cid]), None, lang, (lang,))
         for cid, _ in order(list(pool), scores)[:k_sents]
     ]
 

@@ -72,8 +72,9 @@ def _translator(args) -> Translator:
 
 
 def _scorer(args, texts) -> Scorer:
-    """The scorer the flags describe, for ranking ``texts``; a remote scorer
-    without --endpoint or a static one without --scores is a usage error."""
+    """The scorer the flags describe, for ranking ``texts`` (or the texts of an
+    ``IdfTable``); a remote scorer without --endpoint or a static one without
+    --scores is a usage error."""
     scores_path = getattr(args, "scores", None)  # `candidates build` has no --scores
     try:
         spec = ScorerSpec(
@@ -144,9 +145,7 @@ def cmd_dataset_compose(args) -> int:
 def cmd_candidates_build(args) -> int:
     corpus = candidates.load_corpus(args.corpus)
     questions = load_questions(args.questions)
-    scorer = _scorer(
-        args, (s for doc in corpus.documents for s in candidates.split_sentences(doc.text))
-    )
+    scorer = _scorer(args, corpus.sentence_idf)
     tasks = []
     total = 0
     for question in questions:
@@ -180,8 +179,11 @@ def cmd_candidates_annotate(args) -> int:
 def cmd_rank(args) -> int:
     d = load_dataset(args.dataset, args.split)
     scorer = _scorer(args, d.candidate_texts())
+    # a question without candidates gets an empty ranking, which
+    # `evaluate --rankings` excludes as unanswerable
     text = "".join(
-        json.dumps({"qid": g.question.id, "ranking": rank(g.question, g.candidates, bound)},
+        json.dumps({"qid": g.question.id,
+                    "ranking": rank(g.question, g.candidates, bound) if g.candidates else []},
                    ensure_ascii=False) + "\n"
         for g, bound in zip(d.groups, scorer.bind_groups(d.groups))
     )

@@ -310,6 +310,7 @@ def evaluate_dataset(dataset: Dataset, scorer: Scorer, *, test_set: str | None =
 def build_translator(spec: TranslatorSpec) -> Translator:
     if spec.kind == "mock":
         backend: Translator = MockTranslator()
+        name = "mock"
     else:
         endpoint = spec.endpoint or os.environ.get(TRANSLATOR_ENDPOINT_ENV)
         if not endpoint:
@@ -317,17 +318,21 @@ def build_translator(spec: TranslatorSpec) -> Translator:
                 f"http translator needs an endpoint (or ${TRANSLATOR_ENDPOINT_ENV})"
             )
         backend = HttpTranslator(endpoint)
+        name = f"http {endpoint}"
     if spec.cache_path:
-        return CachingTranslator(backend, TranslationCache(spec.cache_path))
+        return CachingTranslator(backend, TranslationCache(spec.cache_path, name))
     return backend
 
 
-def build_scorer(spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int) -> Scorer:
+def build_scorer(
+    spec: ScorerSpec, texts: Iterable[str] | IdfTable, *, max_seq_len: int
+) -> Scorer:
     """Construct the scorer a spec describes for ranking ``texts``, the
-    candidate texts it will score. This is where a lexical scorer gets its idf
-    table: from those texts. The other kinds ignore them."""
+    candidate texts it will score, or the texts an ``IdfTable`` was built
+    over. This is where a lexical scorer gets its idf table: that table, or
+    one built from the texts. The other kinds ignore them."""
     if spec.kind == "lexical":
-        return LexicalScorer(IdfTable.from_texts(texts))
+        return LexicalScorer(texts if isinstance(texts, IdfTable) else IdfTable.from_texts(texts))
     if spec.kind == "remote":
         return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
     return StaticScorer.from_jsonl(spec.scores_path)
@@ -448,11 +453,17 @@ def run_experiment(
     if trainer is None:
         trainer = ConstantScorerTrainer(scorer_for(dev_data))
 
-    stop = early_stop_loop(
-        trainer,
-        lambda scorer: evaluate_dataset(dev_data, scorer).map,
-        hp.max_iterations,
-    )
+    # a trainer may hand back the snapshot it handed back last time (the
+    # constant trainer always does); its dev MAP is then the one just computed
+    last: tuple[Scorer | None, float] = (None, 0.0)
+
+    def evaluate_dev(scorer: Scorer) -> float:
+        nonlocal last
+        if last[0] is not scorer:
+            last = (scorer, evaluate_dataset(dev_data, scorer).map)
+        return last[1]
+
+    stop = early_stop_loop(trainer, evaluate_dev, hp.max_iterations)
 
     reports = []
     for expr, data in test_data:

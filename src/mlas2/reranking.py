@@ -17,6 +17,7 @@ import re
 import reprlib
 from abc import ABC, abstractmethod
 from collections import Counter
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,7 +51,8 @@ class IdfTable:
     every unseen term shares the df = 0 value.
 
     This is the package's one tf-idf core: the lexical scorer, the mock
-    scorer server and document retrieval all weigh terms through it.
+    scorer server, document retrieval and the corpus sentence index all
+    weigh terms through it, the index by term id.
     """
 
     def __init__(self, df: dict[str, int], num_docs: int) -> None:
@@ -73,6 +75,16 @@ class IdfTable:
     def idf(self, term: str) -> float:
         return self._idf.get(term, self._unseen_idf)
 
+    @cached_property
+    def term_ids(self) -> dict[str, int]:
+        """Each term's number, in ``df`` order. A corpus index keys its term
+        arrays by these numbers and weighs them with ``weights``."""
+        return {term: i for i, term in enumerate(self.df)}
+
+    @cached_property
+    def _idf_by_id(self) -> np.ndarray:
+        return np.fromiter(self._idf.values(), dtype=float, count=len(self._idf))
+
     def vector(self, text: str) -> dict[str, float]:
         """Tf-idf weights of a text's terms, in first-occurrence order."""
         idf, unseen = self._idf, self._unseen_idf
@@ -81,22 +93,34 @@ class IdfTable:
     def vector_with_norm(self, text: str) -> tuple[dict[str, float], float]:
         """A text's tf-idf vector and its Euclidean norm."""
         v = self.vector(text)
-        return v, math.sqrt(sum([x * x for x in v.values()]))
+        return v, vector_norm(v.values())
 
-    def counts_norm(self, counts: Counter[str]) -> float:
-        """Norm of the tf-idf vector of term counts, as indexed documents use it.
-
-        Squares as ``** 2`` where ``vector_with_norm`` multiplies: the two can
-        round apart in the last bit, and each form keeps its callers' scores
-        and orderings unchanged.
-        """
-        idf, unseen = self._idf, self._unseen_idf
-        return math.sqrt(sum([(tf * idf.get(term, unseen)) ** 2 for term, tf in counts.items()]))
+    def weights(self, term_ids: Sequence[int], tfs: Sequence[int]) -> np.ndarray:
+        """The tf-idf weights ``vector`` gives (tf times idf, elementwise) for
+        terms given by their ``term_ids`` and counts."""
+        return np.asarray(tfs) * self._idf_by_id[np.asarray(term_ids)]
 
 
-def cosine(u: dict[str, float], nu: float, v: dict[str, float], nv: float) -> float:
-    """Cosine similarity of sparse non-negative vectors given with their norms,
-    in [0, 1]; 0.0 when either is zero."""
+def vector_norm(weights: Iterable[float]) -> float:
+    """Norm of a text's tf-idf weights, summed in their order."""
+    return math.sqrt(sum([x * x for x in weights]))
+
+
+def doc_norm(weights: Iterable[float]) -> float:
+    """Norm of an indexed document's tf-idf weights, summed in their order.
+
+    Squares as ``** 2`` where ``vector_norm`` multiplies: the two can round
+    apart in the last bit, and each form keeps its callers' scores and
+    orderings unchanged.
+    """
+    return math.sqrt(sum([w ** 2 for w in weights]))
+
+
+def cosine(u: dict, nu: float, v: dict, nv: float) -> float:
+    """Cosine similarity of sparse non-negative vectors (weights keyed by
+    term or term id) given with their norms, in [0, 1]; 0.0 when either is
+    zero. The dot product sums over the shorter vector (u on a tie) in its
+    own order."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if len(v) < len(u):

@@ -137,16 +137,22 @@ class HttpTranslator(Translator):
 # ---------------------------------------------------------------------------
 
 class TranslationCache:
-    """Append-only JSONL cache keyed by (src, tgt, sha256 of the source text).
+    """Append-only JSONL cache of one translation backend, keyed by (src, tgt,
+    sha256 of the source text).
 
-    Lines: ``{"src":str,"tgt":str,"hash":str,"text":str}`` where ``text`` is
-    the translation. Corrupt lines, and lines with a field of the wrong type,
-    are skipped on load (treated as misses) and rewritten on the next store;
+    Lines: ``{"backend":str,"src":str,"tgt":str,"hash":str,"text":str}``
+    where ``backend`` names the backend that translated (``mock``, or
+    ``http`` and its endpoint) and ``text`` is the translation. Lines of
+    another backend are not loaded, so one backend's output is never served
+    for another. Corrupt lines, and lines with a field missing or of the
+    wrong type (such as lines written before the ``backend`` field), are
+    skipped on load (treated as misses) and rewritten on the next store;
     duplicate keys resolve last-write-wins.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, backend: str) -> None:
         self._path = Path(path)
+        self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], str] = {}
         if self._path.exists():
@@ -156,13 +162,14 @@ class TranslationCache:
                     if not line:
                         continue
                     try:
-                        src, tgt, h, text = read_fields(
+                        line_backend, src, tgt, h, text = read_fields(
                             json.loads(line), str(self._path), "cache",
-                            {"src": TEXT, "tgt": TEXT, "hash": TEXT, "text": TEXT},
+                            {"backend": TEXT, "src": TEXT, "tgt": TEXT, "hash": TEXT, "text": TEXT},
                         )
                     except (json.JSONDecodeError, RecursionError, DatasetFormatError):
                         continue
-                    self._entries[(src, tgt, h)] = text
+                    if line_backend == backend:
+                        self._entries[(src, tgt, h)] = text
 
     @staticmethod
     def text_key(text: str) -> str:
@@ -184,7 +191,8 @@ class TranslationCache:
                 self._entries[(src, tgt, h)] = translated
                 lines.append(
                     json.dumps(
-                        {"src": src, "tgt": tgt, "hash": h, "text": translated},
+                        {"backend": self.backend, "src": src, "tgt": tgt, "hash": h,
+                         "text": translated},
                         ensure_ascii=False,
                     )
                 )
@@ -216,7 +224,7 @@ def cached_translate(
 
 
 class CachingTranslator(Translator):
-    """Wraps any backend with a persistent cache."""
+    """Wraps any backend with a persistent cache of that backend's output."""
 
     def __init__(self, backend: Translator, cache: TranslationCache) -> None:
         self._backend = backend

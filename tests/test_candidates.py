@@ -22,7 +22,7 @@ from mlas2.candidates import (
     split_sentences,
 )
 from mlas2.dataset import stats, validate_dataset
-from mlas2.reranking import IdfTable, LexicalScorer, tokenize
+from mlas2.reranking import IdfTable, LexicalScorer, TextPairScorer, tokenize
 
 
 def linear_scan_postings(docs, term):
@@ -289,6 +289,116 @@ def test_select_respects_k_docs():
     cands = select_candidates(q, corpus, _scorer(corpus), k_docs=1, k_sents=100)
     assert {c.id.split(":")[0] for c in cands} <= {"d1", "d3"}
     assert len({c.id.split(":")[0] for c in cands}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the one-pass index against text-based oracles
+# ---------------------------------------------------------------------------
+
+# few words, so scores tie often; final sigma at sentence ends, a dotted
+# capital I that lowercases to two characters, digits, underscores and a
+# decimal point that is no boundary
+_U_WORD = st.sampled_from(
+    ["ΟΔΟΣ", "Σσ", "ς", "İstanbul", "ß", "42", "x_1", "3.14", "cats", "CATS"]
+)
+_U_PUNCT = st.sampled_from([".", "?!", "!?!", "...", ""])
+_U_SENTENCE = st.tuples(st.lists(_U_WORD, max_size=4).map(" ".join), _U_PUNCT).map("".join)
+_U_DOC = st.lists(
+    st.tuples(_U_SENTENCE, st.sampled_from([" ", "\n", " \t "])).map("".join), max_size=6
+).map("".join)
+_U_QUERY = st.lists(
+    st.sampled_from(["ΟΔΟΣ", "ς", "istanbul", "42", "x", "cats", "zzz", "yyy"]),
+    min_size=1,
+    max_size=6,
+).map(" ".join)
+
+
+def _unicode_corpus(texts):
+    return build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+
+
+class _TextPath(TextPairScorer):
+    """Scores with the wrapped scorer's ``score_pairs``, so selection has to
+    hand it sentence texts."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score_pairs(self, pairs):
+        return self.scorer.score_pairs(pairs)
+
+
+def _select_or_error(*args, **kwargs):
+    try:
+        return select_candidates(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+@example("ΑΣ. ΒΣ\tİ. x")
+def test_sentence_tokens_are_the_document_tokens(text):
+    # the index counts a document's terms from its sentences' tokens
+    assert [t for s in split_sentences(text) for t in tokenize(s)] == tokenize(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(_U_DOC, min_size=1, max_size=5),
+    query=_U_QUERY,
+    k_docs=st.integers(1, 7),
+    k_sents=st.integers(1, 40),
+)
+# unseen query terms make the question the longer vector, so cosine sums
+# over the sentence, in its order; summed in the question's order instead,
+# the second sentence's score moves by an ulp
+@example(
+    texts=["istanbul star istanbul istanbul star star. star 42 x istanbul x."],
+    query="istanbul x 42 sun ΟΔΟΣ zzz",
+    k_docs=1,
+    k_sents=2,
+)
+def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
+    corpus = _unicode_corpus(texts)
+    lexical = LexicalScorer(corpus.sentence_idf)
+    q = make_question("q1", query)
+    got = _select_or_error(q, corpus, lexical, k_docs=k_docs, k_sents=k_sents)
+    assert got == _select_or_error(q, corpus, _TextPath(lexical), k_docs=k_docs, k_sents=k_sents)
+
+    numbers = [j for doc in corpus.documents for j in corpus.sentences(doc.id)]
+    pairs = [(query, corpus.sentence_text(j)) for j in numbers]
+    assert corpus.score_sentences(query, numbers) == lexical.score_pairs(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_U_DOC, max_size=6))
+def test_sentence_table_equals_idf_over_split_sentences(texts):
+    corpus = _unicode_corpus(texts)
+    expected = IdfTable.from_texts(s for t in texts for s in split_sentences(t))
+    assert corpus.sentence_idf.df == expected.df
+    assert corpus.sentence_idf.num_docs == expected.num_docs
+    for doc in corpus.documents:
+        got = [corpus.sentence_text(j) for j in corpus.sentences(doc.id)]
+        assert got == split_sentences(doc.text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_U_DOC, max_size=6), _U_QUERY)
+def test_postings_and_norms_equal_whole_document_counts(texts, query):
+    corpus = _unicode_corpus(texts)
+    counts = {doc.id: Counter(tokenize(doc.text)) for doc in corpus.documents}
+    table = corpus.idf_table
+    for term in {t for c in counts.values() for t in c} | {"zzz"}:
+        expected = sorted((doc_id, c[term]) for doc_id, c in counts.items() if term in c)
+        assert corpus.postings(term) == expected
+        assert table.df.get(term, 0) == len(expected)
+    for doc_id, c in counts.items():
+        norm = math.sqrt(sum([(tf * table.idf(term)) ** 2 for term, tf in c.items()]))
+        assert corpus._norms[corpus._numbers[doc_id]] == norm
+    if tokenize(query):
+        for k in (1, 2, len(texts) + 3):
+            assert retrieve_documents(query, corpus, k) == full_sort_retrieval(query, corpus, k)
 
 
 # ---------------------------------------------------------------------------

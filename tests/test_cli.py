@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import mlas2
 from conftest import CountingTieScorer, make_dataset, make_group, tie_heavy_datasets
+from mlas2 import servers
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
 from test_dataset import FIXTURE_LINES, write_fixture
@@ -198,6 +199,29 @@ def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path, monkey
     assert sleeps == [0.5, 1.0]
 
 
+def test_cache_filled_by_mock_serves_nothing_to_http(capsys, fixture_path, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    transfer = ["dataset", "transfer", fixture_path, "--to", "de", "--cache", cache]
+    code, _, _ = run(capsys, *transfer, "--out", tmp_path / "mock.jsonl")
+    assert code == 0
+    server = servers.make_translator_server()
+    servers.start_in_thread(server)
+    try:
+        http = ["--translator", "http", "--endpoint",
+                f"http://127.0.0.1:{server.server_port}/translate"]
+        code, _, _ = run(capsys, *transfer, *http, "--out", tmp_path / "http.jsonl")
+        assert code == 0
+        sent = server.request_count
+        assert sent > 0
+        # the http translator's own lines now serve it
+        code, _, _ = run(capsys, *transfer, *http, "--out", tmp_path / "again.jsonl")
+        assert (code, server.request_count) == (0, sent)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (tmp_path / "http.jsonl").read_text() == (tmp_path / "mock.jsonl").read_text()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -251,6 +275,22 @@ def test_rank_writes_rankings(capsys, fixture_path, tmp_path):
     lines = [json.loads(l) for l in out_path.read_text().splitlines()]
     assert [l["qid"] for l in lines] == ["q1", "q2"]
     assert len(lines[1]["ranking"]) == 3
+
+
+def test_rank_writes_an_empty_ranking_for_a_question_without_candidates(capsys, tmp_path):
+    data = tmp_path / "data.jsonl"
+    write_fixture(data, [*FIXTURE_LINES[:2], FIXTURE_LINES[3]])  # q1, its candidate, q2
+    ranked = tmp_path / "ranked.jsonl"
+    code, _, err = run(capsys, "rank", data, "--scorer", "lexical", "--out", ranked)
+    assert (code, err) == (0, "")
+    lines = [json.loads(l) for l in ranked.read_text().splitlines()]
+    assert [(l["qid"], [cid for cid, _ in l["ranking"]]) for l in lines] == [
+        ("q1", ["q1c0"]), ("q2", [])
+    ]
+
+    code, out, _ = run(capsys, "evaluate", data, "--rankings", ranked)
+    assert code == 0
+    assert first_json(out)["n"] == 1
 
 
 def test_rank_to_stdout_matches_library(capsys, fixture_path):

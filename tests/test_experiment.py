@@ -21,6 +21,7 @@ from mlas2.experiment import (
     RunRecord,
     ScorerSpec,
     ScriptedTrainer,
+    Trainer,
     TranslatorSpec,
     early_stop_loop,
     evaluate_dataset,
@@ -338,6 +339,31 @@ def test_run_experiment_perfect_static(tmp_path):
     assert record.best_iteration == 1
     assert len(record.dev_maps) == 2  # constant dev MAP: second iteration ties, loop stops
     assert (tmp_path / "runs" / "toy-run.json").exists()
+
+
+def test_run_experiment_scores_dev_once_per_snapshot(tmp_path):
+    setup_sources(tmp_path)
+    config = ExperimentConfig.from_json(
+        write_config(tmp_path, hyperparameters={"max_iterations": 3})
+    )
+    # one scorer call per evaluation: dev, then the one test composition
+    scorer = CountingTieScorer()
+    record = run_experiment(config, trainer=ConstantScorerTrainer(scorer))
+    assert len(record.dev_maps) == 2 and record.dev_maps[0] == record.dev_maps[1]
+    assert scorer.calls == 2  # dev scored once for two iterations, then test
+
+    class FreshSnapshots(Trainer):
+        def __init__(self):
+            self.snapshots = []
+
+        def train_one_iteration(self):
+            self.snapshots.append(CountingTieScorer())
+            return self.snapshots[-1]
+
+    trainer = FreshSnapshots()
+    assert run_experiment(config, trainer=trainer).dev_maps == record.dev_maps
+    # each snapshot scored dev once; the first, the best, also scored test
+    assert [s.calls for s in trainer.snapshots] == [2, 1]
 
 
 def test_run_experiment_deterministic_modulo_timestamps(tmp_path):

@@ -94,7 +94,7 @@ def test_oversized_text_travels_alone():
 # ---------------------------------------------------------------------------
 
 def test_cache_hit_skips_backend(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
+    cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
     req = TranslationRequest(("hello", "world"), "en", "de")
     first = cached_translate(req, backend, cache)
@@ -105,7 +105,7 @@ def test_cache_hit_skips_backend(tmp_path):
 
 
 def test_partial_hit_sends_only_misses(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
+    cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
     cached_translate(TranslationRequest(("one",), "en", "de"), backend, cache)
     cached_translate(TranslationRequest(("one", "two", "three"), "en", "de"), backend, cache)
@@ -117,7 +117,7 @@ def test_short_backend_reply_is_an_error_never_truncation(tmp_path):
         def translate_batch(self, request):
             return MockTranslator().translate_batch(request)[:-1]
 
-    cache = TranslationCache(tmp_path / "cache.jsonl")
+    cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     with pytest.raises(TranslationError, match="1 texts for 2 inputs"):
         cached_translate(TranslationRequest(("a", "b"), "en", "de"), DropsLast(), cache)
     assert len(cache) == 0
@@ -131,7 +131,7 @@ def test_cached_matches_uncached_oracle(tmp_path):
     )
     req = TranslationRequest(texts, "en", "de")
     plain = MockTranslator().translate_batch(req)
-    cache = TranslationCache(tmp_path / "cache.jsonl")
+    cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     translator = CachingTranslator(MockTranslator(), cache)
     assert translator.translate_batch(req) == plain
     assert translator.translate_batch(req) == plain
@@ -140,9 +140,11 @@ def test_cached_matches_uncached_oracle(tmp_path):
 def test_cache_survives_reload(tmp_path):
     path = tmp_path / "cache.jsonl"
     cached_translate(
-        TranslationRequest(("persist me",), "en", "de"), MockTranslator(), TranslationCache(path)
+        TranslationRequest(("persist me",), "en", "de"),
+        MockTranslator(),
+        TranslationCache(path, "mock"),
     )
-    reloaded = TranslationCache(path)
+    reloaded = TranslationCache(path, "mock")
     backend = CountingTranslator(MockTranslator())
     out = cached_translate(TranslationRequest(("persist me",), "en", "de"), backend, reloaded)
     assert out == ["de:persist de:me"]
@@ -152,36 +154,58 @@ def test_cache_survives_reload(tmp_path):
 def test_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
     good = {
+        "backend": "mock",
         "src": "en",
         "tgt": "de",
         "hash": TranslationCache.text_key("keep"),
         "text": "de:keep",
     }
     path.write_text("not json at all\n" + json.dumps(good) + "\n{\"src\":\"en\"}\n")
-    cache = TranslationCache(path)
+    cache = TranslationCache(path, "mock")
     assert cache.get("en", "de", "keep") == "de:keep"
     assert cache.get("en", "de", "missing") is None
     # the corrupt entries behave as misses and get rewritten
     backend = CountingTranslator(MockTranslator())
     cached_translate(TranslationRequest(("missing",), "en", "de"), backend, cache)
-    assert TranslationCache(path).get("en", "de", "missing") == "de:missing"
+    assert TranslationCache(path, "mock").get("en", "de", "missing") == "de:missing"
 
 
-@pytest.mark.parametrize("field", ["src", "tgt", "hash", "text"])
+@pytest.mark.parametrize("field", ["backend", "src", "tgt", "hash", "text"])
 def test_cache_skips_wrongly_typed_lines(tmp_path, field):
     path = tmp_path / "cache.jsonl"
-    line = {"src": "en", "tgt": "de", "hash": TranslationCache.text_key("x"), "text": "de:x"}
+    line = {"backend": "mock", "src": "en", "tgt": "de", "hash": TranslationCache.text_key("x"),
+            "text": "de:x"}
     path.write_text(json.dumps({**line, field: None}) + "\n")
-    cache = TranslationCache(path)
+    cache = TranslationCache(path, "mock")
     # a null translation must be a miss, never the text "None"
     assert len(cache) == 0 and cache.get("en", "de", "x") is None
 
 
 def test_cache_is_content_addressed(tmp_path):
-    cache = TranslationCache(tmp_path / "c.jsonl")
+    cache = TranslationCache(tmp_path / "c.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
     cached_translate(TranslationRequest(("a", "b"), "en", "de"), backend, cache)
     # same texts, different batch order: all hits
     out = cached_translate(TranslationRequest(("b", "a"), "en", "de"), backend, cache)
     assert out == ["de:b", "de:a"]
     assert backend.batch_calls == 1
+
+
+def test_cache_serves_only_its_own_backend(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    request = TranslationRequest(("x",), "en", "de")
+    cached_translate(request, MockTranslator(), TranslationCache(path, "mock"))
+    line = {"src": "en", "tgt": "de", "hash": TranslationCache.text_key("y"), "text": "de:y"}
+    with path.open("a") as fh:
+        fh.write(json.dumps(line) + "\n")  # written before lines named their backend
+
+    assert TranslationCache(path, "mock").get("en", "de", "x") == "de:x"
+    assert TranslationCache(path, "mock").get("en", "de", "y") is None
+    other = TranslationCache(path, "http http://127.0.0.1:1/translate")
+    assert len(other) == 0
+    backend = CountingTranslator(MockTranslator())
+    cached_translate(request, backend, other)
+    assert backend.texts_sent == 1
+    # each backend keeps its own entry for the same text
+    assert len(TranslationCache(path, "mock")) == 1
+    assert len(TranslationCache(path, "http http://127.0.0.1:1/translate")) == 1
