@@ -166,16 +166,16 @@ def main() -> None:
         tmpdir = Path(tmp)
         tasks = tmpdir / "tasks.jsonl"
         source = tmpdir / "source_en.jsonl"
-        assert cli_main([
-            "candidates", "build",
-            "--corpus", str(corpus_path), "--questions", str(questions_path),
-            "--k-docs", str(K_DOCS), "--k-sents", str(K_SENTS), "--out", str(tasks),
-        ]) == 0
-        assert cli_main([
-            "candidates", "annotate",
-            "--tasks", str(tasks), "--gold", str(gold_path),
-            "--out", str(source), "--name", "En",
-        ]) == 0
+        for argv in (
+            ["candidates", "build",
+             "--corpus", str(corpus_path), "--questions", str(questions_path),
+             "--k-docs", str(K_DOCS), "--k-sents", str(K_SENTS), "--out", str(tasks)],
+            ["candidates", "annotate",
+             "--tasks", str(tasks), "--gold", str(gold_path),
+             "--out", str(source), "--name", "En"],
+        ):
+            if cli_main(argv) != 0:
+                raise SystemExit(f"mlas2 {' '.join(argv[:2])} failed")
 
         from mlas2.dataset import load_dataset
 

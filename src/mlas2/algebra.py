@@ -141,7 +141,6 @@ def transfer(d: Dataset, translator: Translator, target: str) -> Dataset:
         return replace(
             record,
             text=next(translated[record.language]),
-            language=target,
             provenance=record.provenance + (target,),
         )
 
@@ -164,7 +163,8 @@ def mix(d_q: Dataset, d_t: Dataset) -> Dataset:
     """Pair questions of ``d_q`` with candidates of ``d_t``, joined on origin_id.
 
     Both operands must derive from one source dataset: question and candidate
-    origin-id sets have to match exactly. Labels come from ``d_t``.
+    origin-id sets have to match exactly. Each output group holds its
+    ``d_t`` partner's candidates tuple as it is, labels included.
     """
     _check_unique([g.question.origin_id for g in d_q.groups], "question")
     _check_unique([g.question.origin_id for g in d_t.groups], "question")
@@ -195,8 +195,7 @@ def mix(d_q: Dataset, d_t: Dataset) -> Dataset:
                 f"candidate origin_id {missing!r} not shared by both operands "
                 f"(question {g.question.origin_id!r})"
             )
-        cands = tuple(replace(c, question_id=g.question.id) for c in partner.candidates)
-        groups.append(QuestionGroup(g.question, cands))
+        groups.append(QuestionGroup(g.question, partner.candidates))
     return Dataset(f"mix({d_q.name},{d_t.name})", d_q.split, tuple(groups))
 
 
@@ -210,9 +209,7 @@ def concat_many(datasets: list[Dataset]) -> Dataset:
     for k, d in enumerate(datasets):
         for g in d.groups:
             q = replace(g.question, id=f"{g.question.id}#{k}")
-            cands = tuple(
-                replace(c, id=f"{c.id}#{k}", question_id=q.id) for c in g.candidates
-            )
+            cands = tuple(replace(c, id=f"{c.id}#{k}") for c in g.candidates)
             groups.append(QuestionGroup(q, cands))
     name = "+".join(d.name for d in datasets)
     return Dataset(name, datasets[0].split, tuple(groups))

@@ -272,7 +272,11 @@ def select_candidates(
     if k_sents < 1:
         raise ValueError(f"k_sents must be >= 1, got {k_sents}")
     pool: dict[str, int] = {}
-    for doc_id in retrieve_documents(question.text, corpus, k_docs):
+    try:
+        doc_ids = retrieve_documents(question.text, corpus, k_docs)
+    except ValueError as exc:
+        raise ValueError(f"question {question.id!r}: {exc}") from exc
+    for doc_id in doc_ids:
         for i, number in enumerate(corpus.sentences(doc_id)):
             pool[f"{doc_id}:{i}"] = number
     if not pool:
@@ -283,9 +287,8 @@ def select_candidates(
         scores = scorer.score_pairs(
             [(question.text, corpus.sentence_text(number)) for number in pool.values()]
         )
-    lang = question.language
     return [
-        AnswerCandidate(cid, question.id, cid, corpus.sentence_text(pool[cid]), None, lang, (lang,))
+        AnswerCandidate(cid, cid, corpus.sentence_text(pool[cid]), None, (question.language,))
         for cid, _ in order(list(pool), scores)[:k_sents]
     ]
 
@@ -360,18 +363,10 @@ def import_annotations(
         else:
             (label,) = read_fields(rec, where, "task", {"label": LABEL})
         if qid not in questions:
-            questions[qid] = Question(qid, qid, q_text, language, (language,))
+            questions[qid] = Question(qid, qid, q_text, (language,))
         full_cid = f"{qid}:{cid}"
         grouped.setdefault(qid, []).append(
-            AnswerCandidate(
-                id=full_cid,
-                question_id=qid,
-                origin_id=full_cid,
-                text=t_text,
-                label=label,
-                language=language,
-                provenance=(language,),
-            )
+            AnswerCandidate(full_cid, full_cid, t_text, label, (language,))
         )
     groups = tuple(QuestionGroup(q, tuple(grouped[qid])) for qid, q in questions.items())
     return Dataset(name, split, groups)

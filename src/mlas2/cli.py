@@ -302,6 +302,18 @@ def _add_scorer_flags(p) -> None:
     p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
 
 
+def _port(text: str) -> int:
+    # bind() raises OverflowError outside this range; argparse makes the
+    # ArgumentTypeError a usage error before any socket is opened
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"invalid port {text!r} (want an integer in 0..65535)")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlas2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="mock services for end-to-end runs")
     p.add_argument("service", choices=("mock-scorer", "mock-translator"))
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_port, default=0, help="TCP port (default 0: any free port)")
     p.add_argument("--scores", help="static pair-score file for the mock scorer")
     p.set_defaults(func=cmd_serve)
 

@@ -1,9 +1,9 @@
 """Data model and JSONL serialization for answer-sentence-selection datasets.
 
 A dataset groups labeled answer candidates under their questions. Every text
-carries a language plus the ordered chain of languages it passed through, so
-translated, mixed, and concatenated corpora stay traceable to their original
-records via ``origin_id``.
+carries the ordered chain of languages it passed through, the last being its
+language, so translated, mixed, and concatenated corpora stay traceable to
+their original records via ``origin_id``.
 """
 
 from __future__ import annotations
@@ -32,48 +32,47 @@ def validate_language(code: str) -> str:
     return code
 
 
-def _check_text_record(language: str, provenance: tuple[str, ...]) -> None:
-    validate_language(language)
-    if not provenance:
-        raise ValueError("provenance chain must be nonempty")
-    for hop in provenance:
-        validate_language(hop)
-    if provenance[-1] != language:
-        raise ValueError(
-            f"language {language!r} must equal the last provenance hop {provenance[-1]!r}"
-        )
+class _Text:
+    """A text record's provenance: the nonempty chain of languages the text
+    passed through. Its last hop is the language the text is in."""
 
-
-@dataclass(frozen=True)
-class Question:
-    id: str
-    origin_id: str
-    text: str
-    language: str
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "provenance", tuple(self.provenance))
-        _check_text_record(self.language, self.provenance)
+        if not self.provenance:
+            raise ValueError("provenance chain must be nonempty")
+        for hop in self.provenance:
+            validate_language(hop)
+
+    @property
+    def language(self) -> str:
+        return self.provenance[-1]
 
 
 @dataclass(frozen=True)
-class AnswerCandidate:
-    """A candidate sentence for one question; ``label`` is None until annotated."""
+class Question(_Text):
+    id: str
+    origin_id: str
+    text: str
+    provenance: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class AnswerCandidate(_Text):
+    """A candidate sentence for the question of the group that holds it;
+    ``label`` is None until annotated."""
 
     id: str
-    question_id: str
     origin_id: str
     text: str
     label: int | None
-    language: str
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "provenance", tuple(self.provenance))
         if self.label is not None and (isinstance(self.label, bool) or self.label not in (0, 1)):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        _check_text_record(self.language, self.provenance)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,6 @@ class QuestionGroup:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         seen: set[str] = set()
         for cand in self.candidates:
-            if cand.question_id != self.question.id:
-                raise ValueError(
-                    f"candidate {cand.id!r} references question {cand.question_id!r}, "
-                    f"not {self.question.id!r}"
-                )
             if cand.id in seen:
                 raise ValueError(f"duplicate candidate id {cand.id!r} in group {self.question.id!r}")
             seen.add(cand.id)
@@ -221,7 +215,7 @@ def read_fields(rec: object, where: str, what: str, spec: dict[str, FieldKind]) 
 # Question records may precede all candidates or be interleaved with them.
 # ---------------------------------------------------------------------------
 
-# in the order of the constructors' arguments
+# in the order of the constructors' arguments, "qid" and "lang" aside
 _QUESTION = {"id": TEXT, "origin_id": TEXT, "text": TEXT, "lang": TEXT, "prov": TEXTS}
 _CANDIDATE = {
     "id": TEXT, "qid": TEXT, "origin_id": TEXT, "text": TEXT, "label": LABEL, "lang": TEXT,
@@ -229,20 +223,47 @@ _CANDIDATE = {
 }
 
 
+def _build(cls: type, where: str, fields: list) -> Question | AnswerCandidate:
+    """A record from its read fields: the constructor's arguments, then
+    ``lang`` and ``prov``; ``lang`` must be the last hop of ``prov``."""
+    *args, lang, prov = fields
+    try:
+        record = cls(*args, prov)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{where}: {exc}") from exc
+    if lang != record.language:
+        raise DatasetFormatError(
+            f"{where}: language {lang!r} must equal the last provenance hop {record.language!r}"
+        )
+    return record
+
+
 def _parse_question(rec: dict, where: str) -> Question:
-    fields = read_fields(rec, where, "question", _QUESTION)
-    try:
-        return Question(*fields)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{where}: {exc}") from exc
+    return _build(Question, where, read_fields(rec, where, "question", _QUESTION))
 
 
-def _parse_candidate(rec: dict, where: str) -> AnswerCandidate:
-    fields = read_fields(rec, where, "candidate", _CANDIDATE)
-    try:
-        return AnswerCandidate(*fields)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{where}: {exc}") from exc
+def _parse_candidate(rec: dict, where: str) -> tuple[str, AnswerCandidate]:
+    """The id of the question a candidate record names, and the candidate."""
+    cid, qid, *fields = read_fields(rec, where, "candidate", _CANDIDATE)
+    return qid, _build(AnswerCandidate, where, [cid, *fields])
+
+
+def text_lines(path: Path) -> Iterator[tuple[int, str | None]]:
+    """Yield ``(line number, stripped text)`` for every nonblank line of a UTF-8
+    text file; the text is None for a line that is not valid UTF-8. Lines end
+    at ``\n``, ``\r\n`` or ``\r``, as in text mode."""
+    lineno = 0
+    with path.open("rb") as fh:
+        for raw in fh:
+            for piece in raw.splitlines():
+                lineno += 1
+                try:
+                    line = piece.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    yield lineno, None
+                    continue
+                if line:
+                    yield lineno, line
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
@@ -250,26 +271,30 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
     ``where`` is ``"path:line"``.
 
     This is the one reader of the package's strict JSONL inputs: a line that is
-    not valid JSON (or nests too deeply to parse) or not a JSON object raises
-    DatasetFormatError naming it.
+    not valid UTF-8, not valid JSON (or nests too deeply to parse) or not a
+    JSON object raises DatasetFormatError naming it.
     """
     p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{p}:{lineno}"
-            rec = _parse_json(line, where, DatasetFormatError)
-            if not isinstance(rec, dict):
-                raise DatasetFormatError(f"{where}: record must be a JSON object")
-            yield where, rec
+    for lineno, line in text_lines(p):
+        where = f"{p}:{lineno}"
+        if line is None:
+            raise DatasetFormatError(f"{where}: invalid UTF-8")
+        rec = _parse_json(line, where, DatasetFormatError)
+        if not isinstance(rec, dict):
+            raise DatasetFormatError(f"{where}: record must be a JSON object")
+        yield where, rec
 
 
 def read_json(path: str | Path, error: type[Exception], what: str) -> object:
-    """Parse a whole JSON file. Invalid JSON, or JSON nested too deeply to parse,
-    raises the caller's ``error("<path>: bad <what>: invalid JSON: ...")``."""
-    return _parse_json(Path(path).read_text(encoding="utf-8"), f"{path}: bad {what}", error)
+    """Parse a whole JSON file. A file that is not valid UTF-8, invalid JSON, or
+    JSON nested too deeply to parse raises the caller's
+    ``error("<path>: bad <what>: invalid ...")``."""
+    where = f"{path}: bad {what}"
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: invalid UTF-8") from exc
+    return _parse_json(text, where, error)
 
 
 def _parse_json(text: str, where: str, error: type[Exception]) -> object:
@@ -299,11 +324,11 @@ def load_dataset(path: str | Path, split: str, name: str | None = None) -> Datas
                 raise DatasetFormatError(f"{where}: duplicate question id {q.id!r}")
             questions[q.id] = q
         elif kind == "c":
-            c = _parse_candidate(rec, where)
+            qid, c = _parse_candidate(rec, where)
             if c.id in cand_ids:
                 raise DatasetFormatError(f"{where}: duplicate candidate id {c.id!r}")
             cand_ids.add(c.id)
-            candidates.setdefault(c.question_id, []).append(c)
+            candidates.setdefault(qid, []).append(c)
         else:
             raise DatasetFormatError(f"{where}: unknown record kind {kind!r}")
     for qid in candidates:
@@ -333,7 +358,7 @@ def dataset_records(d: Dataset) -> Iterator[dict]:
             yield {
                 "kind": "c",
                 "id": c.id,
-                "qid": c.question_id,
+                "qid": q.id,
                 "origin_id": c.origin_id,
                 "text": c.text,
                 "label": c.label,

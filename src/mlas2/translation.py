@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import requests
 
-from mlas2.dataset import TEXT, TEXTS, DatasetFormatError, read_fields, validate_language
+from mlas2.dataset import TEXT, TEXTS, DatasetFormatError, read_fields, text_lines, validate_language
 from mlas2.wire import post_json
 
 
@@ -144,10 +144,10 @@ class TranslationCache:
     where ``backend`` names the backend that translated (``mock``, or
     ``http`` and its endpoint) and ``text`` is the translation. Lines of
     another backend are not loaded, so one backend's output is never served
-    for another. Corrupt lines, and lines with a field missing or of the
-    wrong type (such as lines written before the ``backend`` field), are
-    skipped on load (treated as misses) and rewritten on the next store;
-    duplicate keys resolve last-write-wins.
+    for another. Corrupt lines (not valid UTF-8 or not JSON), and lines with
+    a field missing or of the wrong type (such as lines written before the
+    ``backend`` field), are skipped on load (treated as misses) and rewritten
+    on the next store; duplicate keys resolve last-write-wins.
     """
 
     def __init__(self, path: str | Path, backend: str) -> None:
@@ -156,20 +156,18 @@ class TranslationCache:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], str] = {}
         if self._path.exists():
-            with self._path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        line_backend, src, tgt, h, text = read_fields(
-                            json.loads(line), str(self._path), "cache",
-                            {"backend": TEXT, "src": TEXT, "tgt": TEXT, "hash": TEXT, "text": TEXT},
-                        )
-                    except (json.JSONDecodeError, RecursionError, DatasetFormatError):
-                        continue
-                    if line_backend == backend:
-                        self._entries[(src, tgt, h)] = text
+            for _, line in text_lines(self._path):
+                if line is None:
+                    continue
+                try:
+                    line_backend, src, tgt, h, text = read_fields(
+                        json.loads(line), str(self._path), "cache",
+                        {"backend": TEXT, "src": TEXT, "tgt": TEXT, "hash": TEXT, "text": TEXT},
+                    )
+                except (json.JSONDecodeError, RecursionError, DatasetFormatError):
+                    continue
+                if line_backend == backend:
+                    self._entries[(src, tgt, h)] = text
 
     @staticmethod
     def text_key(text: str) -> str:

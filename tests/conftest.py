@@ -6,26 +6,16 @@ from mlas2.reranking import TextPairScorer
 
 
 def make_question(qid: str, text: str, lang: str = "en") -> Question:
-    return Question(id=qid, origin_id=qid, text=text, language=lang, provenance=(lang,))
+    return Question(id=qid, origin_id=qid, text=text, provenance=(lang,))
 
 
-def make_candidate(
-    cid: str, qid: str, text: str, label: int | None, lang: str = "en"
-) -> AnswerCandidate:
-    return AnswerCandidate(
-        id=cid,
-        question_id=qid,
-        origin_id=cid,
-        text=text,
-        label=label,
-        language=lang,
-        provenance=(lang,),
-    )
+def make_candidate(cid: str, text: str, label: int | None, lang: str = "en") -> AnswerCandidate:
+    return AnswerCandidate(id=cid, origin_id=cid, text=text, label=label, provenance=(lang,))
 
 
 def make_group(qid: str, q_text: str, labeled_texts, lang: str = "en") -> QuestionGroup:
     cands = tuple(
-        make_candidate(f"{qid}c{i}", qid, text, label, lang)
+        make_candidate(f"{qid}c{i}", text, label, lang)
         for i, (text, label) in enumerate(labeled_texts)
     )
     return QuestionGroup(make_question(qid, q_text, lang), cands)

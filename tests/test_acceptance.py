@@ -191,7 +191,7 @@ def test_c05_ranking_determinism():
     rng = random.Random(42)
     ids = [f"c{i:02d}" for i in range(12)]
     table = {cid: rng.random() for cid in ids}
-    cands = [make_candidate(cid, "q1", f"text {cid}", 0) for cid in ids]
+    cands = [make_candidate(cid, f"text {cid}", 0) for cid in ids]
     baseline = rank(q, cands, TableScorer(table))
 
     for _ in range(100):

@@ -16,7 +16,7 @@ from mlas2.algebra import (
     render_composition,
     transfer,
 )
-from mlas2.dataset import validate_dataset
+from mlas2.dataset import dataset_records, validate_dataset
 from mlas2.translation import MockTranslator
 
 from test_translation import CountingTranslator
@@ -154,6 +154,14 @@ def test_mix_takes_questions_and_candidates_from_operands(tiny_dataset):
             assert all(tok.startswith("de:") for tok in cand.text.split())
 
 
+def test_mix_shares_the_partners_candidates(tiny_dataset):
+    d_de = transfer(tiny_dataset, MockTranslator(), "de")
+    mixed = mix(tiny_dataset, d_de)
+    for group, partner in zip(mixed.groups, d_de.groups):
+        assert len(group.candidates) == len(partner.candidates)
+        assert all(c is p for c, p in zip(group.candidates, partner.candidates))
+
+
 def test_mix_self_is_identity(tiny_dataset):
     mixed = mix(tiny_dataset, tiny_dataset)
     assert mixed.groups == tiny_dataset.groups
@@ -219,9 +227,20 @@ def test_concat_rekeys_and_validates(tiny_dataset):
     assert [g.question.id for g in both.groups] == ["q1#0", "q2#0", "q1#1", "q2#1"]
     # origin ids survive re-keying
     assert [g.question.origin_id for g in both.groups] == ["q1", "q2", "q1", "q2"]
-    for group in both.groups:
-        for cand in group.candidates:
-            assert cand.question_id == group.question.id
+    assert [c.id for c in both.groups[2].candidates] == ["q1c0#1", "q1c1#1"]
+    assert [c.origin_id for c in both.groups[2].candidates] == ["q1c0", "q1c1"]
+
+
+def test_composed_candidates_serialize_with_their_groups_question_id(tiny_dataset):
+    d_de = transfer(tiny_dataset, MockTranslator(), "de")
+    for out in (concat(tiny_dataset, d_de), mix(tiny_dataset, d_de), mix(d_de, tiny_dataset)):
+        qid = None
+        for rec in dataset_records(out):
+            if rec["kind"] == "q":
+                qid = rec["id"]
+            else:
+                assert rec["qid"] == qid
+        assert qid == out.groups[-1].question.id
 
 
 def test_concat_with_empty(tiny_dataset):

@@ -238,7 +238,7 @@ def test_select_returns_whole_pool_when_small():
     cands = select_candidates(q, corpus, _scorer(corpus), k_docs=3, k_sents=100)
     assert len(cands) == 7  # every sentence of every document
     assert all(c.label is None for c in cands)
-    assert all(c.question_id == "q1" for c in cands)
+    assert all(c.provenance == ("en",) for c in cands)  # the question's language
 
 
 def test_select_keeps_duplicate_sentences_distinct():
@@ -277,7 +277,7 @@ def test_select_matches_score_and_sort_oracle(texts, query, k_docs, k_sents):
     for doc_id in retrieve_documents(q.text, corpus, k_docs):
         doc = next(d for d in corpus.documents if d.id == doc_id)
         for i, sentence in enumerate(split_sentences(doc.text)):
-            pool.append(make_candidate(f"{doc_id}:{i}", "q1", sentence, None))
+            pool.append(make_candidate(f"{doc_id}:{i}", sentence, None))
     scores = scorer.score_candidates(q, pool)
     expected = [c for c, _ in sorted(zip(pool, scores), key=lambda x: (-x[1], x[0].id))][:k_sents]
     assert got == expected
@@ -416,7 +416,7 @@ def test_export_rejects_labeled(tmp_path):
 
     q = make_question("q1", "question")
     with pytest.raises(ValueError, match="already labeled"):
-        export_annotation_tasks([(q, [make_candidate("c1", "q1", "text", 1)])], tmp_path / "t.jsonl")
+        export_annotation_tasks([(q, [make_candidate("c1", "text", 1)])], tmp_path / "t.jsonl")
 
 
 def _build_tasks(tmp_path):

@@ -158,6 +158,26 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
     assert "bad.jsonl:1" in err
 
 
+@pytest.mark.parametrize("command", ["dataset", "corpus"])
+def test_line_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, command):
+    # both exited 2 with a bare "'utf-8' codec can't decode" and no path:line
+    path = tmp_path / "bad.jsonl"
+    if command == "dataset":
+        write_fixture(path, FIXTURE_LINES[:2])
+        argv = ["dataset", "stats", path]
+    else:
+        path.write_text(json.dumps({"id": "d1", "text": "Cats chase mice."}) + "\n\n")
+        questions = tmp_path / "questions.jsonl"
+        write_fixture(questions, [FIXTURE_LINES[0]])
+        argv = ["candidates", "build", "--corpus", path, "--questions", questions,
+                "--out", tmp_path / "tasks.jsonl"]
+    with path.open("ab") as fh:
+        fh.write(b'{"id": "d\xff", "text": "x"}\n')
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{path}:3: invalid UTF-8" in err
+
+
 def test_deeply_nested_line_exits_2_without_traceback(tmp_path):
     # json.loads raises RecursionError here, which is no ValueError
     path = tmp_path / "deep.jsonl"
@@ -456,6 +476,16 @@ def test_evaluate_unparsable_baseline_exits_2_before_any_output(capsys, fixture_
     assert "Traceback" not in err
 
 
+def test_evaluate_baseline_not_utf8_names_the_file(capsys, fixture_path, tmp_path):
+    base_path = tmp_path / "baseline.json"
+    base_path.write_bytes(b'{"test": "\xff"}')
+    code, out, err = run(
+        capsys, "evaluate", fixture_path, "--scorer", "lexical", "--baseline", base_path
+    )
+    assert (code, out) == (2, "")
+    assert f"{base_path}: bad metrics report: invalid UTF-8" in err
+
+
 # ---------------------------------------------------------------------------
 # candidates + experiment wiring
 # ---------------------------------------------------------------------------
@@ -517,6 +547,38 @@ def test_candidates_build_rejects_k_sents_below_1(capsys, tmp_path, k_sents):
     assert out == ""
     assert f"k_sents must be >= 1, got {k_sents}" in err
     assert not tasks.exists()
+
+
+def test_candidates_build_names_a_question_without_tokens(capsys, tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "d1", "text": "Cats chase mice. Cats sleep."}) + "\n")
+    questions_path = tmp_path / "questions.jsonl"
+    write_fixture(questions_path, [
+        {"kind": "q", "id": qid, "origin_id": qid, "text": text, "lang": "en", "prov": ["en"]}
+        for qid, text in [("q1", "what do cats chase"), ("q2", "?!")]
+    ])
+    tasks = tmp_path / "tasks.jsonl"
+    code, out, err = run(
+        capsys,
+        "candidates", "build",
+        "--corpus", corpus_path, "--questions", questions_path, "--out", tasks,
+    )
+    assert (code, out) == (2, "")
+    assert "'q2'" in err and "no tokens" in err
+    assert not tasks.exists()
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_exits_1(capsys, monkeypatch, port):
+    # bind() raised an OverflowError traceback; argparse now rejects the port
+    def no_serving(args):
+        raise AssertionError("serve ran with an invalid port")
+
+    monkeypatch.setattr("mlas2.cli.cmd_serve", no_serving)
+    code, out, err = run(capsys, "serve", "mock-translator", "--port", port)
+    assert (code, out) == (1, "")
+    assert f"invalid port '{port}'" in err
+    assert "Traceback" not in err
 
 
 def test_experiment_run_null_run_name_exits_2(capsys, tmp_path):

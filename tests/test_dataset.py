@@ -18,6 +18,7 @@ from mlas2.dataset import (
     load_questions,
     save_dataset,
     stats,
+    text_lines,
     validate_dataset,
     validate_language,
 )
@@ -59,23 +60,32 @@ def test_language_codes():
 
 def test_label_must_be_binary():
     with pytest.raises(ValueError, match="label"):
-        make_candidate("c1", "q1", "text", 2)
+        make_candidate("c1", "text", 2)
     with pytest.raises(ValueError, match="label"):
-        AnswerCandidate("c1", "q1", "c1", "text", True, "en", ("en",))
+        AnswerCandidate("c1", "c1", "text", True, ("en",))
 
 
-def test_language_must_match_provenance_tail():
-    with pytest.raises(ValueError, match="provenance"):
-        Question("q1", "q1", "text", "de", ("de", "en"))
+def test_provenance_must_be_nonempty_valid_codes():
+    assert Question("q1", "q1", "text", ["de", "en"]).language == "en"
     with pytest.raises(ValueError, match="nonempty"):
-        Question("q1", "q1", "text", "en", ())
+        Question("q1", "q1", "text", ())
+    with pytest.raises(ValueError, match="language code"):
+        AnswerCandidate("c1", "c1", "text", 0, ("en", "DE"))
 
 
-def test_group_rejects_foreign_and_duplicate_candidates():
+def test_language_must_match_provenance_tail(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for line in (0, 1):  # the question record, then the candidate record
+        lines = [dict(rec) for rec in FIXTURE_LINES[:2]]
+        lines[line].update(lang="de", prov=["en"])
+        write_fixture(path, lines)
+        with pytest.raises(DatasetFormatError, match=rf"bad\.jsonl:{line + 1}: .*last provenance hop"):
+            load_dataset(path, "train")
+
+
+def test_group_rejects_duplicate_candidates():
     q = make_question("q1", "question")
-    with pytest.raises(ValueError, match="references"):
-        QuestionGroup(q, (make_candidate("c1", "q2", "text", 0),))
-    c = make_candidate("c1", "q1", "text", 0)
+    c = make_candidate("c1", "text", 0)
     with pytest.raises(ValueError, match="duplicate"):
         QuestionGroup(q, (c, c))
 
@@ -276,8 +286,8 @@ def test_filter_answerable():
 
 
 def test_validate_dataset_flags_global_duplicates():
-    shared = make_candidate("c1", "q1", "text", 0)
-    other = make_candidate("c1", "q2", "text", 1)
+    shared = make_candidate("c1", "text", 0)
+    other = make_candidate("c1", "text", 1)
     d = Dataset(
         "d",
         "train",
@@ -325,22 +335,30 @@ def test_load_questions(tmp_path):
 # properties
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.sampled_from(["a", "é", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])))
+def test_text_lines_splits_and_numbers_lines_as_text_mode(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with path.open("r", encoding="utf-8") as fh:
+        expected = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    assert list(text_lines(path)) == expected
+
+
 @st.composite
 def datasets(draw):
     n = draw(st.integers(min_value=0, max_value=5))
     groups = []
     for i in range(n):
         lang = draw(st.sampled_from(["en", "de", "fr"]))
-        q = Question(f"q{i}", f"q{i}", draw(st.text(max_size=30)), lang, (lang,))
+        q = Question(f"q{i}", f"q{i}", draw(st.text(max_size=30)), (lang,))
         m = draw(st.integers(min_value=1, max_value=4))
         cands = tuple(
             AnswerCandidate(
                 f"q{i}c{j}",
-                f"q{i}",
                 f"q{i}c{j}",
                 draw(st.text(max_size=40)),
                 draw(st.integers(min_value=0, max_value=1)),
-                lang,
                 (lang,),
             )
             for j in range(m)

@@ -496,6 +496,15 @@ def test_run_record_invalid_json_names_the_file(tmp_path, text):
     assert str(path) in str(info.value)
 
 
+def test_run_record_not_utf8_names_the_file(tmp_path):
+    # this raised UnicodeDecodeError, which is no ExperimentError
+    path = tmp_path / "b.json"
+    path.write_bytes(b'{"run_name": "\xff"}')
+    with pytest.raises(ExperimentError, match="bad run record: invalid UTF-8") as info:
+        RunRecord.load(path)
+    assert str(path) in str(info.value)
+
+
 def test_run_experiment_records_hyperparameters(tmp_path):
     _, src = setup_sources(tmp_path)
     config = ExperimentConfig.from_json(write_config(tmp_path))

@@ -210,10 +210,10 @@ def test_static_scorer_lookup_and_errors(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     scorer = StaticScorer.from_jsonl(path)
     q = make_question("q1", "question")
-    cands = [make_candidate("c1", "q1", "a", 1), make_candidate("c2", "q1", "b", 0)]
+    cands = [make_candidate("c1", "a", 1), make_candidate("c2", "b", 0)]
     assert scorer.score_candidates(q, cands) == [0.9, 0.1]
     with pytest.raises(ScoringError, match="no static score"):
-        scorer.score_candidates(q, [make_candidate("c3", "q1", "c", 0)])
+        scorer.score_candidates(q, [make_candidate("c3", "c", 0)])
 
 
 def test_static_scorer_rejects_out_of_range():
@@ -234,7 +234,7 @@ class FixedScorer(Scorer):
 
 
 def _cands(ids):
-    return [make_candidate(cid, "q1", f"text {cid}", 0) for cid in ids]
+    return [make_candidate(cid, f"text {cid}", 0) for cid in ids]
 
 
 def test_rank_orders_by_score():

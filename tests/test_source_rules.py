@@ -9,14 +9,16 @@ from pathlib import Path
 import mlas2
 
 PACKAGE_DIR = Path(mlas2.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+SCRIPTS_DIR = ROOT / "scripts"
 
 
 def test_no_assert_in_package():
     # python -O strips assert statements, so no check may rely on one
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(SCRIPTS_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]

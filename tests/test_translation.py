@@ -170,6 +170,19 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert TranslationCache(path, "mock").get("en", "de", "missing") == "de:missing"
 
 
+def test_cache_skips_lines_that_are_not_utf8(tmp_path):
+    # such a line aborted the run; read with errors="replace" it would serve
+    # a mangled translation as a hit
+    path = tmp_path / "cache.jsonl"
+    line = {"backend": "mock", "src": "en", "tgt": "de"}
+    bad = json.dumps({**line, "hash": TranslationCache.text_key("x"), "text": "de:@"})
+    good = json.dumps({**line, "hash": TranslationCache.text_key("keep"), "text": "de:keep"})
+    path.write_bytes(bad.encode().replace(b"@", b"\xff") + b"\n" + good.encode() + b"\n")
+    cache = TranslationCache(path, "mock")
+    assert cache.get("en", "de", "x") is None
+    assert cache.get("en", "de", "keep") == "de:keep"
+
+
 @pytest.mark.parametrize("field", ["backend", "src", "tgt", "hash", "text"])
 def test_cache_skips_wrongly_typed_lines(tmp_path, field):
     path = tmp_path / "cache.jsonl"
