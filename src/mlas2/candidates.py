@@ -5,7 +5,6 @@ and round-trip annotation task files into labeled datasets.
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
 from bisect import bisect_right
@@ -26,7 +25,9 @@ from mlas2.dataset import (
     Question,
     QuestionGroup,
     iter_jsonl,
+    jsonl_line,
     read_fields,
+    write_lines,
 )
 from mlas2.reranking import (
     IdfTable,
@@ -299,20 +300,13 @@ def export_annotation_tasks(
     """Write annotation tasks as JSONL
     ``{"qid":str,"cid":str,"q":str,"t":str,"label":null}``; candidates must
     still be unlabeled."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for question, cands in tasks:
-            for cand in cands:
-                if cand.label is not None:
-                    raise ValueError(f"candidate {cand.id!r} is already labeled")
-                rec = {
-                    "qid": question.id,
-                    "cid": cand.id,
-                    "q": question.text,
-                    "t": cand.text,
-                    "label": None,
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False))
-                fh.write("\n")
+    labeled = next((c for _, cands in tasks for c in cands if c.label is not None), None)
+    if labeled is not None:
+        raise ValueError(f"candidate {labeled.id!r} is already labeled")
+    write_lines(path, (
+        jsonl_line({"qid": q.id, "cid": c.id, "q": q.text, "t": c.text, "label": None})
+        for q, cands in tasks for c in cands
+    ))
 
 
 def load_gold_labels(path: str | Path) -> dict[tuple[str, str], int]:

@@ -22,6 +22,7 @@ from mlas2.dataset import (
     FieldKind,
     filter_answerable,
     iter_jsonl,
+    jsonl_line,
     load_dataset,
     load_questions,
     read_fields,
@@ -29,6 +30,7 @@ from mlas2.dataset import (
     save_dataset,
     stats,
     validate_dataset,
+    write_lines,
 )
 from mlas2.experiment import (
     TRANSLATOR_ENDPOINT_ENV,
@@ -181,16 +183,15 @@ def cmd_rank(args) -> int:
     scorer = _scorer(args, d.candidate_texts())
     # a question without candidates gets an empty ranking, which
     # `evaluate --rankings` excludes as unanswerable
-    text = "".join(
-        json.dumps({"qid": g.question.id,
-                    "ranking": rank(g.question, g.candidates, bound) if g.candidates else []},
-                   ensure_ascii=False) + "\n"
+    lines = [
+        jsonl_line({"qid": g.question.id,
+                    "ranking": rank(g.question, g.candidates, bound) if g.candidates else []})
         for g, bound in zip(d.groups, scorer.bind_groups(d.groups))
-    )
+    ]
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_lines(args.out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 SPLITS = ("train", "dev", "test")
 
@@ -171,15 +172,26 @@ class FieldKind(NamedTuple):
     test: Callable[[object], bool]
 
 
+# A JSON escape such as "\ud800" reads as a lone surrogate, which no output can
+# encode as UTF-8, so a text must hold none; isascii() is O(1), so an ASCII
+# text is not searched.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+TEXT = FieldKind(
+    "a JSON string encodable as UTF-8",
+    lambda v: isinstance(v, str) and (v.isascii() or not _SURROGATE.search(v)),
+)
+TEXTS = FieldKind(
+    "a list of strings encodable as UTF-8", lambda v: isinstance(v, list) and all(map(TEXT.test, v))
+)
 # type(), not isinstance(): json.loads makes exact types, and true/false are
 # instances of int, yet neither a label, a count nor a score
-TEXT = FieldKind("a JSON string", lambda v: isinstance(v, str))
-TEXTS = FieldKind("a list of strings", lambda v: isinstance(v, list) and all(map(TEXT.test, v)))
 LABEL = FieldKind("the integer 0 or 1", lambda v: type(v) is int and v in (0, 1))
 INTEGER = FieldKind("a JSON integer", lambda v: type(v) is int)
 COUNT = FieldKind("a non-negative JSON integer", lambda v: type(v) is int and v >= 0)
 NUMBER = FieldKind("a JSON number", lambda v: type(v) in (int, float))
-OPTIONAL_TEXT = FieldKind("a JSON string or null", lambda v: v is None or isinstance(v, str))
+OPTIONAL_TEXT = FieldKind(
+    "a JSON string encodable as UTF-8, or null", lambda v: v is None or TEXT.test(v)
+)
 # compared before float(), which overflows on a huge JSON integer
 SCORE = FieldKind("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
@@ -367,13 +379,31 @@ def dataset_records(d: Dataset) -> Iterator[dict]:
             }
 
 
+def jsonl_line(rec: object) -> str:
+    return json.dumps(rec, ensure_ascii=False) + "\n"
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """The one writer of output files, all or nothing: ``<name>.tmp`` beside
+    ``path`` replaces it once every line is written, or is removed on failure.
+    An existing ``path`` that is not a regular file (a FIFO, a symlink such as
+    ``/dev/stdout``) raises OSError, untouched."""
+    p = Path(path)
+    if p.is_symlink() or p.exists() and not p.is_file():
+        raise OSError(f"{p}: not a regular file, so not replaced")
+    tmp = p.with_name(p.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(d: Dataset, path: str | Path) -> None:
     """Write a dataset as JSONL; ``load_dataset`` parses it back to an equal value."""
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        for rec in dataset_records(d):
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    write_lines(path, map(jsonl_line, dataset_records(d)))
 
 
 def fingerprint_dataset(d: Dataset) -> str:

@@ -33,6 +33,7 @@ from mlas2.dataset import (
     load_dataset,
     read_fields,
     read_json,
+    write_lines,
 )
 from mlas2.metrics import (
     DeltaReport,
@@ -147,6 +148,13 @@ class ExperimentConfig:
         parse_composition(self.dev_expr)
         for expr in self.test_exprs:
             parse_composition(expr)
+        # each names a file in the results directory, never a path out of it
+        for key in ("run_name", "baseline_run"):
+            name = getattr(self, key)
+            if name is not None and (
+                name in ("", ".", "..") or "\0" in name or Path(name).name != name
+            ):
+                raise ValueError(f"{key} must be a plain file name, got {name!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -381,13 +389,7 @@ class RunRecord:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write atomically (temp file + rename)."""
-        p = Path(path)
-        tmp = p.with_suffix(p.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
-        os.replace(tmp, p)
+        write_lines(path, [json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":

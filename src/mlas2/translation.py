@@ -123,7 +123,7 @@ class HttpTranslator(Translator):
         texts = body.get("texts")
         if not TEXTS.test(texts):
             raise TranslationError(
-                f"translator returned no texts or a non-string text: {reprlib.repr(texts)}"
+                f"translator reply's texts must be {TEXTS.want}, got {reprlib.repr(texts)}"
             )
         if len(texts) != len(batch):
             raise TranslationError(

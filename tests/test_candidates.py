@@ -415,8 +415,15 @@ def test_export_rejects_labeled(tmp_path):
     from conftest import make_candidate
 
     q = make_question("q1", "question")
+    tasks = [(q, [make_candidate("c0", "text", None), make_candidate("c1", "text", 1)])]
     with pytest.raises(ValueError, match="already labeled"):
-        export_annotation_tasks([(q, [make_candidate("c1", "text", 1)])], tmp_path / "t.jsonl")
+        export_annotation_tasks(tasks, tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "t.jsonl").write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="already labeled"):
+        export_annotation_tasks(tasks, tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == [tmp_path / "t.jsonl"]
+    assert (tmp_path / "t.jsonl").read_bytes() == b"old\n"
 
 
 def _build_tasks(tmp_path):

@@ -202,6 +202,30 @@ def test_compose_rejects_null_text_instead_of_writing_none(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_stats_rejects_a_text_with_a_lone_surrogate(capsys, tmp_path):
+    # the JSON escape "\ud800" reads as a text no output can encode; stats exited 0
+    path = tmp_path / "src.jsonl"
+    write_fixture(path, [FIXTURE_LINES[0], {**FIXTURE_LINES[1], "text": "sky \ud800"}])
+    code, out, err = run(capsys, "dataset", "stats", path)
+    assert (code, out) == (2, "")
+    assert f"{path}:2: bad candidate record: 'text' must be a JSON string encodable as UTF-8" in err
+
+
+@pytest.mark.parametrize("line", [1, 2], ids=["question", "candidate"])
+def test_compose_rejects_a_lone_surrogate_before_writing(capsys, tmp_path, line):
+    # compose exited 2 with a bare "'utf-8' codec can't encode" and left an empty
+    # file (bad question) or one holding only the question line (bad candidate)
+    lines = list(FIXTURE_LINES[:3])
+    lines[line - 1] = {**lines[line - 1], "text": "\ud800"}
+    path = tmp_path / "src.jsonl"
+    write_fixture(path, lines)
+    out = tmp_path / "o.jsonl"
+    code, _, err = run(capsys, "dataset", "compose", "--expr", "En", "--source", path, "--out", out)
+    assert code == 2
+    assert f"{path}:{line}: bad " in err and "must be a JSON string encodable as UTF-8" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_dead_translator_endpoint_exits_2(capsys, fixture_path, tmp_path, monkeypatch):
     sleeps = []
     monkeypatch.setattr("mlas2.wire.time.sleep", sleeps.append)
@@ -295,6 +319,25 @@ def test_rank_writes_rankings(capsys, fixture_path, tmp_path):
     lines = [json.loads(l) for l in out_path.read_text().splitlines()]
     assert [l["qid"] for l in lines] == ["q1", "q2"]
     assert len(lines[1]["ranking"]) == 3
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_rank_out_refuses_a_target_that_is_not_a_regular_file(capsys, fixture_path, tmp_path, kind):
+    # opened for writing, a FIFO without a reader blocked the command; a
+    # symlink, such as /dev/stdout, would be replaced by the renamed temp file
+    target = tmp_path / "ranked.jsonl"
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        (tmp_path / "real.jsonl").write_bytes(b"old\n")
+        target.symlink_to(tmp_path / "real.jsonl")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "rank", fixture_path, "--scorer", "lexical", "--out", target)
+    assert (code, out) == (2, "")
+    assert f"{target}: not a regular file" in err
+    assert target.is_fifo() if kind == "fifo" else target.is_symlink()
+    assert sorted(tmp_path.iterdir()) == before
+    assert kind == "fifo" or (tmp_path / "real.jsonl").read_bytes() == b"old\n"
 
 
 def test_rank_writes_an_empty_ranking_for_a_question_without_candidates(capsys, tmp_path):
@@ -600,6 +643,27 @@ def test_experiment_run_null_run_name_exits_2(capsys, tmp_path):
     assert code == 2
     assert "config.json: bad config record: 'run_name' must be a JSON string" in err
     assert not (runs / "None.json").exists()
+
+
+@pytest.mark.parametrize("key", ["run_name", "baseline_run"])
+def test_experiment_run_names_cannot_leave_the_results_dir(capsys, tmp_path, key):
+    # a run name of "../escaped" wrote escaped.json beside runs/ and exited 0
+    config = {
+        "run_name": "ok",
+        "source": {"train": "src.jsonl", "dev": "src.jsonl", "test": "src.jsonl"},
+        "ft_expr": "En",
+        "dev_expr": "En",
+        "test_exprs": ["En"],
+        "scorer": {"kind": "lexical"},
+        key: "../escaped",
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    runs = tmp_path / "runs"
+    code, out, err = run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)
+    assert (code, out) == (2, "")
+    assert f"{config_path}: bad config: {key} must be a plain file name, got '../escaped'" in err
+    assert sorted(tmp_path.iterdir()) == [config_path]
 
 
 def test_experiment_run_batch_size_0_exits_2(capsys, tmp_path):

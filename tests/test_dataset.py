@@ -234,9 +234,17 @@ def test_save_empty_dataset(tmp_path):
 
 
 def test_save_rejects_unlabeled(tmp_path):
+    # the question line is written before the unlabeled candidate is met, yet
+    # no file is left behind, and an existing one keeps its bytes
     d = make_dataset([make_group("q1", "q", [("t", None)])])
     with pytest.raises(ValueError, match="unlabeled"):
         save_dataset(d, tmp_path / "x.jsonl")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "x.jsonl").write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="unlabeled"):
+        save_dataset(d, tmp_path / "x.jsonl")
+    assert list(tmp_path.iterdir()) == [tmp_path / "x.jsonl"]
+    assert (tmp_path / "x.jsonl").read_bytes() == b"old\n"
 
 
 # ---------------------------------------------------------------------------

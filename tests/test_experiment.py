@@ -241,18 +241,32 @@ def test_config_file_not_an_object_names_the_file(tmp_path, text):
         {"hyperparameters": {"learning_rate": "high"}},
         {"hyperparameters": {"max_iterations": 2.0}},
         {"hyperparameters": {"max_seq_len": True}},
+        {"ft_expr": "En\ud800"},
+        {"baseline_run": "\udfff"},
+        {"translator": {"kind": "mock", "cache_path": "c\ud800.jsonl"}},
     ],
     ids=[
         "null-run-name", "string-test-exprs", "number-in-test-exprs", "number-expr",
         "null-label", "null-source", "number-baseline", "string-scorer-batch-size",
         "number-scores-path", "list-scorer", "number-translator-endpoint", "list-cache-path",
         "string-seed", "string-learning-rate", "float-max-iterations", "bool-max-seq-len",
+        "surrogate-expr", "surrogate-baseline", "surrogate-cache-path",
     ],
 )
 def test_config_wrongly_typed_field_names_the_file(tmp_path, overrides):
     # before, a null run_name became "None" and "test_exprs": "En" the terms E and n
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ExperimentError, match="bad config") as info:
+        ExperimentConfig.from_json(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["run_name", "baseline_run"])
+@pytest.mark.parametrize("name", ["../x", "/x", "", ".", "..", "runs/x", "x\0"])
+def test_config_output_names_must_be_plain_file_names(tmp_path, key, name):
+    # each is joined to the results directory as a file name
+    path = write_config(tmp_path, **{key: name})
+    with pytest.raises(ExperimentError, match=f"bad config: {key} must be a plain file name") as info:
         ExperimentConfig.from_json(path)
     assert str(path) in str(info.value)
 

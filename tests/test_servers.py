@@ -16,7 +16,13 @@ from mlas2.servers import (
     make_translator_server,
     start_in_thread,
 )
-from mlas2.translation import HttpTranslator, TranslationError, TranslationRequest
+from mlas2.translation import (
+    CachingTranslator,
+    HttpTranslator,
+    TranslationCache,
+    TranslationError,
+    TranslationRequest,
+)
 
 
 @pytest.fixture
@@ -235,6 +241,26 @@ def test_scorer_server_wrongly_typed_pair_is_400(pairs):
         server.server_close()
 
 
+def test_translator_server_answers_a_lone_surrogate_with_400(translator_server, sleeps):
+    # the server crashed encoding its reply and dropped the connection, so the
+    # client retried and reported "translator unreachable"
+    client = HttpTranslator(url(translator_server, "/translate"))
+    with pytest.raises(TranslationError, match="translator returned 400: .*encodable as UTF-8"):
+        client.translate_batch(TranslationRequest(["ok", "\ud800"], "en", "de"))
+    assert sleeps == []
+
+
+def test_scorer_server_answers_a_lone_surrogate_with_400(sleeps):
+    server = scorer_server()
+    try:
+        with pytest.raises(ScoringError, match="scorer returned 400: .*encodable as UTF-8"):
+            RemoteScorer(url(server, "/score")).score_pairs([("q", "\udfff")])
+        assert sleeps == []
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_server_bad_content_length_is_400(translator_server, length):
     import http.client
@@ -440,6 +466,18 @@ def test_http_translator_malformed_200_is_translation_error(body):
     client = HttpTranslator("http://translator.invalid/translate", session=_FixedReplySession(body))
     with pytest.raises(TranslationError):
         client.translate_batch(TranslationRequest(["x"], "en", "de"))
+
+
+def test_translator_reply_with_a_lone_surrogate_is_translation_error(tmp_path):
+    # CachingTranslator raised UnicodeEncodeError appending the text to its
+    # cache, with the entry already in the cache's memory
+    cache = TranslationCache(tmp_path / "cache.jsonl", "http")
+    reply = _FixedReplySession({"texts": ["de:\ud800"]})
+    client = CachingTranslator(HttpTranslator("http://translator.invalid/translate", session=reply), cache)
+    with pytest.raises(TranslationError, match="must be a list of strings encodable as UTF-8"):
+        client.translate_batch(TranslationRequest(["x"], "en", "de"))
+    assert len(cache) == 0
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
 _json_values = st.recursive(

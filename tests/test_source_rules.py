@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -41,6 +42,37 @@ def test_no_coercion_of_record_fields():
             and isinstance(arg.slice.value, str)
             for arg in node.args
         )
+    ]
+    assert found == []
+
+
+def _writes_a_file(node: ast.Call) -> str | None:
+    """How ``node`` writes a file itself (``open`` with a write mode,
+    ``write_text``, ``write_bytes`` or ``json.dump``), or None."""
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name == "dump" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json":
+        return "json.dump"
+    if name == "open":
+        for arg in [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]:
+            mode = getattr(arg, "value", None)
+            if isinstance(mode, str) and re.fullmatch(r"[rbt]*[wax+][rwxabt+]*", mode):
+                return f"open({mode!r})"
+    return None
+
+
+def test_one_writer_of_output_files():
+    # every output file goes through mlas2.dataset.write_lines, all or nothing;
+    # the translation cache appends its lines, by its own contract
+    found = [
+        f"{path.name}:{node.lineno}: {how}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (how := _writes_a_file(node))
+        if (path.name, how) != ("translation.py", "open('a')")
     ]
     assert found == []
 

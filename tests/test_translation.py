@@ -194,6 +194,17 @@ def test_cache_skips_wrongly_typed_lines(tmp_path, field):
     assert len(cache) == 0 and cache.get("en", "de", "x") is None
 
 
+def test_cache_skips_a_line_with_a_lone_surrogate(tmp_path):
+    # such a text reads from a JSON escape but cannot be written back
+    path = tmp_path / "cache.jsonl"
+    line = {"backend": "mock", "src": "en", "tgt": "de", "hash": TranslationCache.text_key("x"),
+            "text": "de:\ud800"}
+    path.write_text(json.dumps(line) + "\n")
+    cache = TranslationCache(path, "mock")
+    assert len(cache) == 0
+    assert cached_translate(TranslationRequest(("x",), "en", "de"), MockTranslator(), cache) == ["de:x"]
+
+
 def test_cache_is_content_addressed(tmp_path):
     cache = TranslationCache(tmp_path / "c.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
