@@ -182,12 +182,9 @@ def main() -> None:
         source_data = load_dataset(source, "test", name="En")
         composed = materialize(parse_composition(EXPR), source_data, MockTranslator())
         rank_scorer = build_scorer(ScorerSpec("lexical"), composed.candidate_texts(), max_seq_len=128)
-        for group in composed.groups:
+        for group, ranking in zip(composed.groups, rank(composed.groups, rank_scorer)):
             by_id = {c.id: c.text for c in group.candidates}
-            scored = [
-                (cid, s, by_id[cid])
-                for cid, s in rank(group.question, group.candidates, rank_scorer)
-            ]
+            scored = [(cid, s, by_id[cid]) for cid, s in ranking]
             check_gaps(scored, f"final ranking for {group.question.id}")
 
         config = {

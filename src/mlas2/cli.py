@@ -181,12 +181,9 @@ def cmd_candidates_annotate(args) -> int:
 def cmd_rank(args) -> int:
     d = load_dataset(args.dataset, args.split)
     scorer = _scorer(args, d.candidate_texts())
-    # a question without candidates gets an empty ranking, which
-    # `evaluate --rankings` excludes as unanswerable
     lines = [
-        jsonl_line({"qid": g.question.id,
-                    "ranking": rank(g.question, g.candidates, bound) if g.candidates else []})
-        for g, bound in zip(d.groups, scorer.bind_groups(d.groups))
+        jsonl_line({"qid": g.question.id, "ranking": ranking})
+        for g, ranking in zip(d.groups, rank(d.groups, scorer))
     ]
     if args.out:
         write_lines(args.out, lines)
@@ -430,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     except CompositionParseError as exc:
         print(f"mlas2: bad composition expression: {exc}", file=sys.stderr)
         return 1
+    except UnicodeError:
+        # every text is checked where it is read, so no input gets here: a
+        # program fault, which must not pass as a runtime error
+        raise
     except (
         DatasetFormatError,
         MixAlignmentError,

@@ -383,14 +383,21 @@ def jsonl_line(rec: object) -> str:
     return json.dumps(rec, ensure_ascii=False) + "\n"
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """The one writer of output files, all or nothing: ``<name>.tmp`` beside
-    ``path`` replaces it once every line is written, or is removed on failure.
-    An existing ``path`` that is not a regular file (a FIFO, a symlink such as
-    ``/dev/stdout``) raises OSError, untouched."""
+def check_replaceable(path: str | Path) -> None:
+    """Raise OSError unless ``write_lines`` may replace ``path``: an existing
+    ``path`` that is not a regular file (a FIFO, a directory, a symlink such
+    as ``/dev/stdout``) is left untouched."""
     p = Path(path)
     if p.is_symlink() or p.exists() and not p.is_file():
         raise OSError(f"{p}: not a regular file, so not replaced")
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """The one writer of output files, all or nothing: ``<name>.tmp`` beside
+    ``path`` replaces it once every line is written, or is removed on failure.
+    A ``path`` that ``check_replaceable`` rejects raises OSError, untouched."""
+    p = Path(path)
+    check_replaceable(p)
     tmp = p.with_name(p.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:

@@ -28,6 +28,7 @@ from mlas2.dataset import (
     Dataset,
     DatasetFormatError,
     FieldKind,
+    check_replaceable,
     filter_answerable,
     fingerprint_dataset,
     load_dataset,
@@ -228,7 +229,7 @@ class _ScriptedScorer(Scorer):
     def __init__(self, dev_map: float) -> None:
         self.dev_map = dev_map
 
-    def score_candidates(self, question, candidates):
+    def score_groups(self, groups):
         raise NotImplementedError("scripted snapshots cannot score; they only carry dev MAP")
 
 
@@ -299,15 +300,12 @@ def early_stop_loop(
 # ---------------------------------------------------------------------------
 
 def evaluate_dataset(dataset: Dataset, scorer: Scorer, *, test_set: str | None = None) -> MetricsReport:
-    """Drop unanswerable questions, rank every remaining group, and aggregate
-    P@1 / MAP / MRR. A text-pair scorer scores all remaining groups in one
-    call. The number of excluded questions is recorded on the report."""
+    """Drop unanswerable questions, rank every remaining group in one
+    ``rank`` call, and aggregate P@1 / MAP / MRR. The number of excluded
+    questions is recorded on the report."""
     groups = filter_answerable(dataset).groups
     excluded = len(dataset.groups) - len(groups)
-    rankings = [
-        judge(group, rank(group.question, group.candidates, bound))
-        for group, bound in zip(groups, scorer.bind_groups(groups))
-    ]
+    rankings = [judge(group, ranking) for group, ranking in zip(groups, rank(groups, scorer))]
     return evaluate(
         rankings,
         test_set=test_set if test_set is not None else dataset.name,
@@ -432,6 +430,27 @@ def run_experiment(
     """
     started = _now()
     hp = config.hyperparameters
+    # fail before the work: the record must be writable where it goes, and
+    # another run named as the baseline must have readable reports
+    record_path = None
+    if results_dir is not None:
+        record_path = Path(results_dir) / f"{config.run_name}.json"
+        record_path.parent.mkdir(parents=True, exist_ok=True)
+        check_replaceable(record_path)
+    base_reports: dict[str, MetricsReport] = {}
+    if config.baseline_run and config.baseline_run != config.run_name:
+        if results_dir is None:
+            raise ExperimentError("baseline_run given but no results_dir to load it from")
+        base_path = Path(results_dir) / f"{config.baseline_run}.json"
+        if not base_path.exists():
+            raise ExperimentError(f"baseline run not found: {base_path}")
+        base_reports = {r.test_set: r for r in RunRecord.load(base_path).reports}
+        for expr in config.test_exprs:
+            if expr not in base_reports:
+                raise ExperimentError(
+                    f"baseline run {config.baseline_run!r} has no report for test {expr!r}"
+                )
+
     translator = build_translator(config.translator)
 
     ft_plan = parse_composition(config.ft_expr)
@@ -476,27 +495,12 @@ def run_experiment(
     if config.baseline_run:
         if config.baseline_run == config.run_name:
             base_reports = {r.test_set: r for r in reports}
-        else:
-            if results_dir is None:
-                raise ExperimentError("baseline_run given but no results_dir to load it from")
-            base_path = Path(results_dir) / f"{config.baseline_run}.json"
-            if not base_path.exists():
-                raise ExperimentError(f"baseline run not found: {base_path}")
-            base_reports = {r.test_set: r for r in RunRecord.load(base_path).reports}
-        for report in reports:
-            if report.test_set not in base_reports:
-                raise ExperimentError(
-                    f"baseline run {config.baseline_run!r} has no report "
-                    f"for test {report.test_set!r}"
-                )
-            deltas.append(
-                delta_report(
-                    base_reports[report.test_set],
-                    report,
-                    name=report.test_set,
-                    baseline_name=config.baseline_run,
-                )
+        deltas = [
+            delta_report(
+                base_reports[r.test_set], r, name=r.test_set, baseline_name=config.baseline_run
             )
+            for r in reports
+        ]
 
     record = RunRecord(
         run_name=config.run_name,
@@ -510,8 +514,6 @@ def run_experiment(
         reports=reports,
         deltas=deltas,
     )
-    if results_dir is not None:
-        out_dir = Path(results_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        record.save(out_dir / f"{config.run_name}.json")
+    if record_path is not None:
+        record.save(record_path)
     return record

@@ -1,10 +1,11 @@
 """Candidate scoring and ranking.
 
 Scorers assign each (question, candidate) pair a correctness probability in
-[0, 1]; ``order`` sorts candidate ids by score with deterministic id
-tie-breaking, and ``rank`` scores one question's candidates and orders them.
-``Scorer.bind_groups`` lets a text-pair scorer score a whole dataset's groups
-in one call before each group is ranked.
+[0, 1]. ``Scorer.score_groups`` is the one scoring protocol: it scores a
+whole list of question groups per call, so a text-pair scorer sends every
+group's pairs in one ``score_pairs`` call. ``order`` sorts candidate ids by
+score with deterministic id tie-breaking, and ``rank`` scores a list of groups
+in one call and orders each.
 Backends: a tf-idf lexical baseline, a static score table, an HTTP client for
 remote models, and a linear classification head applied to externally
 produced embeddings.
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
-from mlas2.dataset import SCORE, TEXT, AnswerCandidate, Question, QuestionGroup, iter_jsonl, read_fields
+from mlas2.dataset import SCORE, TEXT, QuestionGroup, iter_jsonl, read_fields
 from mlas2.wire import post_json
 
 
@@ -141,55 +142,31 @@ def lexical_score(q_text: str, t_text: str, idf_table: IdfTable) -> float:
 # ---------------------------------------------------------------------------
 
 class Scorer(ABC):
-    """Assigns correctness probabilities to a question's candidates."""
+    """Assigns correctness probabilities to candidates, for a whole list of
+    question groups per call."""
 
     @abstractmethod
-    def score_candidates(
-        self, question: Question, candidates: Sequence[AnswerCandidate]
-    ) -> list[float]:
-        ...
-
-    def bind_groups(self, groups: Sequence[QuestionGroup]) -> list["Scorer"]:
-        """One scorer per group that scores that group's candidates as this
-        scorer does. Here each group is scored when it is ranked."""
-        return [self] * len(groups)
+    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
+        """Each group's scores, in candidate order."""
 
 
 class TextPairScorer(Scorer):
     """Scorer that only looks at the (question text, candidate text) pair."""
 
-    def score_candidates(
-        self, question: Question, candidates: Sequence[AnswerCandidate]
-    ) -> list[float]:
-        return self.score_pairs([(question.text, c.text) for c in candidates])
-
     @abstractmethod
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         ...
 
-    def bind_groups(self, groups: Sequence[QuestionGroup]) -> list[Scorer]:
-        """Score every group's pairs in one ``score_pairs`` call; each group
-        gets its own slice of the scores. A wrong total count is a
-        ``ScoringError``, never a truncation."""
+    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
+        """Score every group's pairs in one ``score_pairs`` call, then slice
+        the scores per group. A wrong total count is a ``ScoringError``, never
+        a truncation."""
         pairs = [(g.question.text, c.text) for g in groups for c in g.candidates]
         scores = self.score_pairs(pairs)
         if len(scores) != len(pairs):
             raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
         rest = iter(scores)
-        return [_FixedScores(list(islice(rest, len(g.candidates)))) for g in groups]
-
-
-class _FixedScores(Scorer):
-    """The scores of one bound group, returned as they are; ``order`` checks
-    their count against the candidates ranked."""
-
-    def __init__(self, scores: list[float]) -> None:
-        self.scores = scores
-
-    def score_candidates(
-        self, question: Question, candidates: Sequence[AnswerCandidate]
-    ) -> list[float]:
-        return self.scores
+        return [list(islice(rest, len(g.candidates))) for g in groups]
 
 
 class LexicalScorer(TextPairScorer):
@@ -229,16 +206,11 @@ class StaticScorer(Scorer):
             table[(qid, cid)] = score
         return cls(table)
 
-    def score_candidates(
-        self, question: Question, candidates: Sequence[AnswerCandidate]
-    ) -> list[float]:
-        out = []
-        for c in candidates:
-            key = (question.id, c.id)
-            if key not in self.table:
-                raise ScoringError(f"no static score for question/candidate {key!r}")
-            out.append(self.table[key])
-        return out
+    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
+        try:
+            return [[self.table[g.question.id, c.id] for c in g.candidates] for g in groups]
+        except KeyError as exc:
+            raise ScoringError(f"no static score for question/candidate {exc.args[0]!r}") from None
 
 
 class RemoteScorer(TextPairScorer):
@@ -352,10 +324,10 @@ def order(ids: Sequence[str], scores: Sequence[float]) -> list[tuple[str, float]
     return sorted(zip(ids, map(float, scores)), key=lambda item: (-item[1], item[0]))
 
 
-def rank(
-    question: Question, candidates: Sequence[AnswerCandidate], scorer: Scorer
-) -> list[tuple[str, float]]:
-    """Score a question's candidates and ``order`` them."""
-    if not candidates:
-        raise ValueError(f"no candidates to rank for question {question.id!r}")
-    return order([c.id for c in candidates], scorer.score_candidates(question, list(candidates)))
+def rank(groups: Sequence[QuestionGroup], scorer: Scorer) -> list[list[tuple[str, float]]]:
+    """Score every group in one ``score_groups`` call and ``order`` each
+    group's candidates; a group without candidates ranks as ``[]``."""
+    scores = scorer.score_groups(groups)
+    if len(scores) != len(groups):
+        raise ScoringError(f"scorer returned scores for {len(scores)} groups, not {len(groups)}")
+    return [order([c.id for c in g.candidates], s) for g, s in zip(groups, scores)]

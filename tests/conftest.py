@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
-from mlas2.reranking import TextPairScorer
+from mlas2.reranking import TextPairScorer, rank
 
 
 def make_question(qid: str, text: str, lang: str = "en") -> Question:
@@ -53,6 +53,17 @@ def make_synthetic_dataset(
         labeled = [(f"answer {i} variant {j} token{j}", 1 if j == 0 else 0) for j in range(cands_per_question)]
         groups.append(make_group(f"q{i:03d}", f"question number {i} about topic{i}", labeled, lang))
     return make_dataset(groups, name="En", split="train")
+
+
+def rank_one(q: Question, cands, scorer) -> list[tuple[str, float]]:
+    """``rank`` of one question's candidates."""
+    return rank([QuestionGroup(q, tuple(cands))], scorer)[0]
+
+
+def tie_table(d: Dataset) -> dict[tuple[str, str], float]:
+    """A static score for every (question id, candidate id) pair of ``d``;
+    three distinct scores, so most rankings hold ties."""
+    return {(g.question.id, c.id): len(c.text) % 3 / 2 for g in d.groups for c in g.candidates}
 
 
 class CountingTieScorer(TextPairScorer):

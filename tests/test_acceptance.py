@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own output.
 """
 
+import importlib.util
 import json
 import math
 import random
@@ -14,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_candidate, make_dataset, make_group, make_question, make_synthetic_dataset
+from conftest import (
+    make_candidate,
+    make_dataset,
+    make_group,
+    make_question,
+    make_synthetic_dataset,
+    rank_one,
+)
 from mlas2.algebra import (
     CompositionParseError,
     concat,
@@ -38,7 +46,7 @@ from mlas2.metrics import (
     evaluate,
     render_delta_table,
 )
-from mlas2.reranking import LinearHead, RemoteScorer, Scorer, ScoringError, linear_head_apply, rank
+from mlas2.reranking import LinearHead, RemoteScorer, Scorer, ScoringError, linear_head_apply
 from mlas2.servers import make_scorer_server, start_in_thread
 from mlas2.translation import MockTranslator
 
@@ -182,8 +190,8 @@ class TableScorer(Scorer):
     def __init__(self, table):
         self.table = dict(table)
 
-    def score_candidates(self, question, candidates):
-        return [self.table[c.id] for c in candidates]
+    def score_groups(self, groups):
+        return [[self.table[c.id] for c in g.candidates] for g in groups]
 
 
 def test_c05_ranking_determinism():
@@ -192,20 +200,20 @@ def test_c05_ranking_determinism():
     ids = [f"c{i:02d}" for i in range(12)]
     table = {cid: rng.random() for cid in ids}
     cands = [make_candidate(cid, f"text {cid}", 0) for cid in ids]
-    baseline = rank(q, cands, TableScorer(table))
+    baseline = rank_one(q, cands, TableScorer(table))
 
     for _ in range(100):
         shuffled = cands[:]
         rng.shuffle(shuffled)
-        assert rank(q, shuffled, TableScorer(table)) == baseline
+        assert rank_one(q, shuffled, TableScorer(table)) == baseline
 
     base_order = [cid for cid, _ in baseline]
     for transform in (lambda s: s**3, lambda s: 0.1 + 0.8 * s, lambda s: math.tanh(s)):
         warped = {cid: transform(s) for cid, s in table.items()}
-        assert [cid for cid, _ in rank(q, cands, TableScorer(warped))] == base_order
+        assert [cid for cid, _ in rank_one(q, cands, TableScorer(warped))] == base_order
 
     equal = {cid: 0.5 for cid in ids}
-    assert [cid for cid, _ in rank(q, cands, TableScorer(equal))] == sorted(ids)
+    assert [cid for cid, _ in rank_one(q, cands, TableScorer(equal))] == sorted(ids)
     ok(5, "100 permutations, 3 monotone transforms")
 
 
@@ -322,6 +330,26 @@ def test_c08_end_to_end_toy_run(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     ok(8, f"metrics {report['p_at_1']:.4f}/{report['map']:.4f}/{report['mrr']:.4f}, {elapsed:.2f}s")
+
+
+def test_toy_fixture_generator_reproduces_the_fixture(tmp_path, monkeypatch, capsys):
+    # scripts/make_toy_fixture.py replays the pipeline through the package's
+    # API; regenerating into tmp_path must give the committed files exactly
+    spec = importlib.util.spec_from_file_location(
+        "make_toy_fixture", ROOT / "scripts" / "make_toy_fixture.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends src
+    script.main()
+    capsys.readouterr()
+    names = sorted(p.name for p in TOY.iterdir())
+    assert names == ["corpus.jsonl", "expected_metrics.json", "gold_labels.jsonl",
+                     "params.json", "questions.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (TOY / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from mlas2.candidates import (
     sentence_spans,
     split_sentences,
 )
-from mlas2.dataset import stats, validate_dataset
+from mlas2.dataset import QuestionGroup, stats, validate_dataset
 from mlas2.reranking import IdfTable, LexicalScorer, TextPairScorer, tokenize
 
 
@@ -278,7 +278,7 @@ def test_select_matches_score_and_sort_oracle(texts, query, k_docs, k_sents):
         doc = next(d for d in corpus.documents if d.id == doc_id)
         for i, sentence in enumerate(split_sentences(doc.text)):
             pool.append(make_candidate(f"{doc_id}:{i}", sentence, None))
-    scores = scorer.score_candidates(q, pool)
+    [scores] = scorer.score_groups([QuestionGroup(q, tuple(pool))])
     expected = [c for c, _ in sorted(zip(pool, scores), key=lambda x: (-x[1], x[0].id))][:k_sents]
     assert got == expected
 

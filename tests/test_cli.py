@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import mlas2
-from conftest import CountingTieScorer, make_dataset, make_group, tie_heavy_datasets
+from conftest import CountingTieScorer, make_dataset, make_group, rank_one, tie_heavy_datasets, tie_table
 from mlas2 import servers
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
@@ -299,15 +299,19 @@ def test_help_exits_0(capsys):
 # rank / evaluate
 # ---------------------------------------------------------------------------
 
-def perfect_scores_path(tmp_path, dataset):
-    path = tmp_path / "scores.jsonl"
-    with path.open("w") as fh:
-        for g in dataset.groups:
-            for c in g.candidates:
-                fh.write(
-                    json.dumps({"qid": g.question.id, "cid": c.id, "score": float(c.label)}) + "\n"
-                )
+def write_scores(path, table):
+    """A static score file holding ``table``'s (qid, cid) -> score entries."""
+    path.write_text("".join(
+        json.dumps({"qid": qid, "cid": cid, "score": score}) + "\n"
+        for (qid, cid), score in table.items()
+    ))
     return path
+
+
+def perfect_scores_path(tmp_path, dataset):
+    return write_scores(tmp_path / "scores.jsonl", {
+        (g.question.id, c.id): float(c.label) for g in dataset.groups for c in g.candidates
+    })
 
 
 def test_rank_writes_rankings(capsys, fixture_path, tmp_path):
@@ -356,33 +360,39 @@ def test_rank_writes_an_empty_ranking_for_a_question_without_candidates(capsys, 
     assert first_json(out)["n"] == 1
 
 
-def test_rank_to_stdout_matches_library(capsys, fixture_path):
-    code, out, _ = run(capsys, "rank", fixture_path, "--scorer", "lexical")
-    assert code == 0
-
+def test_rank_to_stdout_matches_library(capsys, fixture_path, tmp_path):
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import rank as rank_fn
+    from mlas2.reranking import StaticScorer
 
     d = load_dataset(fixture_path, "train")
-    scorer = build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)
-    expected = [
-        {"qid": g.question.id, "ranking": [[cid, s] for cid, s in rank_fn(g.question, g.candidates, scorer)]}
-        for g in d.groups
-    ]
-    got = [json.loads(l) for l in out.splitlines()]
-    assert got == expected
+    table = tie_table(d)
+    scores = write_scores(tmp_path / "scores.jsonl", table)
+    for flags, scorer in (
+        (["--scorer", "lexical"],
+         build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)),
+        (["--scorer", "static", "--scores", scores], StaticScorer(table)),
+    ):
+        code, out, _ = run(capsys, "rank", fixture_path, *flags)
+        assert code == 0
+        expected = [
+            {"qid": g.question.id,
+             "ranking": [[cid, s] for cid, s in rank_one(g.question, g.candidates, scorer)]}
+            for g in d.groups
+        ]
+        got = [json.loads(l) for l in out.splitlines()]
+        assert got == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(d=tie_heavy_datasets())
 def test_rank_equals_per_group_rank(d):
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import rank as rank_fn
+    from mlas2.reranking import StaticScorer
 
     def per_group(scorer):
         return [
             {"qid": g.question.id,
-             "ranking": [[cid, s] for cid, s in rank_fn(g.question, g.candidates, scorer)]}
+             "ranking": [[cid, s] for cid, s in rank_one(g.question, g.candidates, scorer)]}
             for g in d.groups
         ]
 
@@ -396,6 +406,9 @@ def test_rank_equals_per_group_rank(d):
 
         lexical = build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)
         assert ranked("--scorer", "lexical") == per_group(lexical)
+        table = tie_table(d)
+        scores = write_scores(Path(tmp) / "scores.jsonl", table)
+        assert ranked("--scorer", "static", "--scores", str(scores)) == per_group(StaticScorer(table))
         counting = CountingTieScorer()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("mlas2.cli._scorer", lambda args, texts: counting)
@@ -403,6 +416,34 @@ def test_rank_equals_per_group_rank(d):
     # one call over every group's pairs
     assert counting.calls == 1
     assert counting.pairs == sum(len(g.candidates) for g in d.groups)
+
+
+def test_a_unicode_error_is_a_program_fault(monkeypatch, fixture_path):
+    # every text is checked where it is read, so a UnicodeError is never bad
+    # input: it must escape, not pass as exit 2
+    def fault(*args):
+        raise UnicodeEncodeError("utf-8", "\udfff", 0, 1, "surrogates not allowed")
+
+    monkeypatch.setattr("mlas2.cli.load_dataset", fault)
+    with pytest.raises(UnicodeEncodeError):
+        main(["dataset", "stats", str(fixture_path)])
+
+
+def test_a_scorer_one_group_short_is_a_scoring_error(capsys, monkeypatch, fixture_path):
+    from mlas2.reranking import Scorer, ScoringError, rank
+
+    class OneGroupShort(Scorer):
+        def score_groups(self, groups):
+            return [[0.5] * len(g.candidates) for g in groups][1:]
+
+    d = load_dataset(fixture_path, "train")
+    n = len(d.groups)
+    with pytest.raises(ScoringError, match=f"returned scores for {n - 1} groups, not {n}"):
+        rank(d.groups, OneGroupShort())
+    monkeypatch.setattr("mlas2.cli._scorer", lambda args, texts: OneGroupShort())
+    code, out, err = run(capsys, "evaluate", fixture_path)
+    assert (code, out) == (2, "")
+    assert f"returned scores for {n - 1} groups, not {n}" in err
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-1"])

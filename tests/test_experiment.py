@@ -9,7 +9,9 @@ from conftest import (
     make_dataset,
     make_group,
     make_synthetic_dataset,
+    rank_one,
     tie_heavy_datasets,
+    tie_table,
 )
 from mlas2.algebra import CompositionParseError
 from mlas2.dataset import filter_answerable, save_dataset
@@ -29,7 +31,7 @@ from mlas2.experiment import (
     scripted_dev_map,
 )
 from mlas2.metrics import evaluate, judge
-from mlas2.reranking import IdfTable, LexicalScorer, ScoringError, StaticScorer, rank
+from mlas2.reranking import IdfTable, LexicalScorer, ScoringError, StaticScorer
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def test_evaluate_dataset_empty_after_filtering():
 def per_group_report(dataset, scorer):
     """Reference: rank each answerable group with its own scorer call."""
     answerable = filter_answerable(dataset)
-    rankings = [judge(g, rank(g.question, g.candidates, scorer)) for g in answerable.groups]
+    rankings = [judge(g, rank_one(g.question, g.candidates, scorer)) for g in answerable.groups]
     return evaluate(
         rankings, test_set=dataset.name, num_excluded=len(dataset.groups) - len(answerable.groups)
     )
@@ -130,6 +132,8 @@ def test_evaluate_dataset_equals_per_group_rank(d):
     assume(filter_answerable(d).groups)
     lexical = LexicalScorer(IdfTable.from_texts(d.candidate_texts()))
     assert evaluate_dataset(d, lexical) == per_group_report(d, lexical)
+    static = StaticScorer(tie_table(d))
+    assert evaluate_dataset(d, static) == per_group_report(d, static)
     counting = CountingTieScorer()
     assert evaluate_dataset(d, counting) == per_group_report(d, CountingTieScorer())
     # one call over every answerable group's pairs
@@ -430,6 +434,41 @@ def test_run_experiment_missing_baseline(tmp_path):
         run_experiment(config, results_dir=tmp_path / "runs")
     with pytest.raises(ExperimentError, match="results_dir"):
         run_experiment(config)
+
+
+def never_materialized(monkeypatch):
+    """Make ``run_experiment`` fail the test if it materializes a dataset."""
+
+    def materialize(*args):
+        raise AssertionError("a dataset was materialized")
+
+    monkeypatch.setattr("mlas2.experiment.materialize", materialize)
+
+
+def test_run_experiment_checks_the_record_target_before_the_work(tmp_path, monkeypatch):
+    setup_sources(tmp_path)
+    config = ExperimentConfig.from_json(write_config(tmp_path))
+    (tmp_path / "runs" / "toy-run.json").mkdir(parents=True)
+    (tmp_path / "file").write_text("")
+    never_materialized(monkeypatch)
+    with pytest.raises(OSError, match="not a regular file, so not replaced"):
+        run_experiment(config, results_dir=tmp_path / "runs")
+    with pytest.raises(FileExistsError):
+        run_experiment(config, results_dir=tmp_path / "file")
+
+
+def test_run_experiment_loads_the_baseline_before_the_work(tmp_path, monkeypatch):
+    setup_sources(tmp_path)
+    config = ExperimentConfig.from_json(write_config(tmp_path, baseline_run="missing"))
+    never_materialized(monkeypatch)
+    with pytest.raises(ExperimentError, match="baseline run not found"):
+        run_experiment(config, results_dir=tmp_path / "runs")
+    (tmp_path / "runs" / "missing.json").write_text(json.dumps({
+        "run_name": "missing", "config": {}, "started": "", "finished": "", "fingerprints": {},
+        "dev_maps": [], "best_iteration": 1, "reports": [],
+    }))
+    with pytest.raises(ExperimentError, match="has no report for test 'En'"):
+        run_experiment(config, results_dir=tmp_path / "runs")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_candidate, make_question
+from conftest import make_candidate, make_question, rank_one
+from mlas2.dataset import QuestionGroup
 from mlas2.experiment import ScorerSpec, build_scorer
 from mlas2.reranking import (
     IdfTable,
@@ -211,9 +212,9 @@ def test_static_scorer_lookup_and_errors(tmp_path):
     scorer = StaticScorer.from_jsonl(path)
     q = make_question("q1", "question")
     cands = [make_candidate("c1", "a", 1), make_candidate("c2", "b", 0)]
-    assert scorer.score_candidates(q, cands) == [0.9, 0.1]
+    assert scorer.score_groups([QuestionGroup(q, tuple(cands))]) == [[0.9, 0.1]]
     with pytest.raises(ScoringError, match="no static score"):
-        scorer.score_candidates(q, [make_candidate("c3", "c", 0)])
+        scorer.score_groups([QuestionGroup(q, (make_candidate("c3", "c", 0),))])
 
 
 def test_static_scorer_rejects_out_of_range():
@@ -229,8 +230,8 @@ class FixedScorer(Scorer):
     def __init__(self, table):
         self.table = dict(table)
 
-    def score_candidates(self, question, candidates):
-        return [self.table[c.id] for c in candidates]
+    def score_groups(self, groups):
+        return [[self.table[c.id] for c in g.candidates] for g in groups]
 
 
 def _cands(ids):
@@ -239,13 +240,13 @@ def _cands(ids):
 
 def test_rank_orders_by_score():
     q = make_question("q1", "question")
-    ranked = rank(q, _cands(["c1", "c2", "c3"]), FixedScorer({"c1": 0.2, "c2": 0.9, "c3": 0.5}))
+    ranked = rank_one(q, _cands(["c1", "c2", "c3"]), FixedScorer({"c1": 0.2, "c2": 0.9, "c3": 0.5}))
     assert [cid for cid, _ in ranked] == ["c2", "c3", "c1"]
 
 
 def test_rank_breaks_ties_by_id():
     q = make_question("q1", "question")
-    ranked = rank(q, _cands(["c3", "c1", "c2"]), FixedScorer({"c1": 0.5, "c2": 0.5, "c3": 0.5}))
+    ranked = rank_one(q, _cands(["c3", "c1", "c2"]), FixedScorer({"c1": 0.5, "c2": 0.5, "c3": 0.5}))
     assert [cid for cid, _ in ranked] == ["c1", "c2", "c3"]
 
 
@@ -253,22 +254,22 @@ def test_rank_permutation_invariant():
     q = make_question("q1", "question")
     scorer = FixedScorer({f"c{i}": (i * 37 % 11) / 11 for i in range(8)})
     cands = _cands([f"c{i}" for i in range(8)])
-    baseline = rank(q, cands, scorer)
+    baseline = rank_one(q, cands, scorer)
     rng = random.Random(7)
     for _ in range(25):
         shuffled = cands[:]
         rng.shuffle(shuffled)
-        assert rank(q, shuffled, scorer) == baseline
+        assert rank_one(q, shuffled, scorer) == baseline
 
 
 def test_rank_monotone_transform_invariant():
     q = make_question("q1", "question")
     table = {f"c{i}": (i * 37 % 11) / 11 for i in range(8)}
     cands = _cands(list(table))
-    base_order = [cid for cid, _ in rank(q, cands, FixedScorer(table))]
+    base_order = [cid for cid, _ in rank_one(q, cands, FixedScorer(table))]
     for transform in (lambda s: s**3, lambda s: 0.2 + 0.6 * s, lambda s: math.tanh(2 * s)):
         warped = {cid: transform(s) for cid, s in table.items()}
-        order = [cid for cid, _ in rank(q, cands, FixedScorer(warped))]
+        order = [cid for cid, _ in rank_one(q, cands, FixedScorer(warped))]
         assert order == base_order
 
 
@@ -281,21 +282,22 @@ def test_order_sorts_by_score_then_id():
 
 def test_rank_rejects_empty_and_bad_scorer():
     q = make_question("q1", "question")
-    with pytest.raises(ValueError, match="no candidates"):
-        rank(q, [], FixedScorer({}))
+    # a group without candidates ranks as an empty list
+    assert rank_one(q, [], FixedScorer({})) == []
+    assert rank([], FixedScorer({})) == []
 
     class ShortScorer(Scorer):
-        def score_candidates(self, question, candidates):
-            return [0.5]
+        def score_groups(self, groups):
+            return [[0.5] for _ in groups]
 
     with pytest.raises(ScoringError, match="scores"):
-        rank(q, _cands(["c1", "c2"]), ShortScorer())
+        rank_one(q, _cands(["c1", "c2"]), ShortScorer())
 
 
 def test_lexical_scorer_from_dataset(tiny_dataset):
     scorer = build_scorer(ScorerSpec("lexical"), tiny_dataset.candidate_texts(), max_seq_len=128)
     group = tiny_dataset.groups[1]
-    ranked = rank(group.question, group.candidates, scorer)
+    ranked = rank_one(group.question, group.candidates, scorer)
     assert len(ranked) == 3
     assert ranked[0][1] >= ranked[-1][1]
     # "a spider has eight legs" shares the most tokens with the question;
