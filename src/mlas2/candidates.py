@@ -27,6 +27,7 @@ from mlas2.dataset import (
     iter_jsonl,
     jsonl_line,
     read_fields,
+    read_table,
     write_lines,
 )
 from mlas2.reranking import (
@@ -170,22 +171,12 @@ class DocumentCorpus:
         ]
 
 
-def build_index(docs: Iterable[Document | dict]) -> DocumentCorpus:
-    """Build a corpus from Document objects or ``{"id","text"}`` dicts."""
-    converted = [
-        d if isinstance(d, Document) else _read_document(d, f"document {i}")
-        for i, d in enumerate(docs)
-    ]
-    return DocumentCorpus(converted)
-
-
-def _read_document(rec: dict, where: str) -> Document:
-    return Document(*read_fields(rec, where, "corpus", {"id": TEXT, "text": TEXT}))
-
-
 def load_corpus(path: str | Path) -> DocumentCorpus:
     """Load a JSONL corpus of ``{"id":str,"text":str}`` records."""
-    return DocumentCorpus([_read_document(rec, where) for where, rec in iter_jsonl(path)])
+    # the id -> text table is freed before the index is built
+    return DocumentCorpus(
+        [Document(*item) for item in read_table(path, "corpus", ("id",), "text", TEXT).items()]
+    )
 
 
 def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list[str]:
@@ -311,15 +302,7 @@ def export_annotation_tasks(
 
 def load_gold_labels(path: str | Path) -> dict[tuple[str, str], int]:
     """Load gold annotations: JSONL ``{"qid":str,"cid":str,"label":0|1}``."""
-    table: dict[tuple[str, str], int] = {}
-    for where, rec in iter_jsonl(path):
-        qid, cid, label = read_fields(
-            rec, where, "gold", {"qid": TEXT, "cid": TEXT, "label": LABEL}
-        )
-        if (qid, cid) in table:
-            raise DatasetFormatError(f"{where}: duplicate gold label for {(qid, cid)!r}")
-        table[(qid, cid)] = label
-    return table
+    return read_table(path, "gold", ("qid", "cid"), "label", LABEL)
 
 
 def import_annotations(

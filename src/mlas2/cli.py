@@ -21,12 +21,11 @@ from mlas2.dataset import (
     DatasetFormatError,
     FieldKind,
     filter_answerable,
-    iter_jsonl,
     jsonl_line,
     load_dataset,
     load_questions,
-    read_fields,
     read_json,
+    read_table,
     save_dataset,
     stats,
     validate_dataset,
@@ -43,7 +42,14 @@ from mlas2.experiment import (
     evaluate_dataset,
     run_experiment,
 )
-from mlas2.metrics import MetricsReport, delta_report, evaluate, judge, render_delta_table
+from mlas2.metrics import (
+    MetricsReport,
+    check_baseline,
+    delta_report,
+    evaluate,
+    judge,
+    render_delta_table,
+)
 from mlas2.reranking import Scorer, ScoringError, rank
 from mlas2.translation import TranslationError, Translator
 
@@ -201,14 +207,9 @@ _RANKING = FieldKind(
 )
 
 
-def _load_rankings(path: str) -> dict[str, list[tuple[str, float]]]:
-    out: dict[str, list[tuple[str, float]]] = {}
-    for where, rec in iter_jsonl(path):
-        qid, ranking = read_fields(rec, where, "ranking", {"qid": TEXT, "ranking": _RANKING})
-        if qid in out:
-            raise DatasetFormatError(f"{where}: second ranking for question {qid!r}")
-        out[qid] = [(cid, float(score)) for cid, score in ranking]
-    return out
+def _load_rankings(path: str) -> dict[str, list[list]]:
+    """Each question's ranking, as ``[cid, score]`` pairs."""
+    return read_table(path, "ranking", ("qid",), "ranking", _RANKING)
 
 
 def cmd_evaluate(args) -> int:
@@ -218,6 +219,7 @@ def cmd_evaluate(args) -> int:
         # read before anything is emitted: a bad baseline leaves stdout empty
         raw = read_json(args.baseline, DatasetFormatError, "metrics report")
         base = MetricsReport.from_json_dict(raw, args.baseline)
+        check_baseline(base, args.baseline, DatasetFormatError)
     name = args.name or d.name
     if args.rankings:
         answerable = filter_answerable(d)

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import reprlib
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -297,6 +298,25 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
         yield where, rec
 
 
+def read_table(
+    path: str | Path, what: str, key: tuple[str, ...], value: str, kind: FieldKind
+) -> dict:
+    """The one reader of keyed JSONL tables: a dict, in file order, from each
+    record's ``key`` text fields (their values as a tuple when there are two)
+    to its ``value`` field of ``kind``, every record read by ``read_fields`` as
+    a ``what`` record. A key is never overwritten: its second record raises
+    ``DatasetFormatError("path:line: duplicate <what> record for <key>")``."""
+    spec = {**dict.fromkeys(key, TEXT), value: kind}
+    table: dict = {}
+    for where, rec in iter_jsonl(path):
+        *keys, field = read_fields(rec, where, what, spec)
+        k = tuple(keys) if len(keys) > 1 else keys[0]
+        if k in table:
+            raise DatasetFormatError(f"{where}: duplicate {what} record for {k!r}")
+        table[k] = field
+    return table
+
+
 def read_json(path: str | Path, error: type[Exception], what: str) -> object:
     """Parse a whole JSON file. A file that is not valid UTF-8, invalid JSON, or
     JSON nested too deeply to parse raises the caller's
@@ -393,14 +413,19 @@ def check_replaceable(path: str | Path) -> None:
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """The one writer of output files, all or nothing: ``<name>.tmp`` beside
-    ``path`` replaces it once every line is written, or is removed on failure.
-    A ``path`` that ``check_replaceable`` rejects raises OSError, untouched."""
+    """The one writer of output files, all or nothing: a temp file of its own
+    beside ``path``, ``<name>.<16 random hex digits>.tmp``, replaces it once
+    every line is written, or is removed on failure, so two writers of one
+    target never share a temp file. A ``path`` that ``check_replaceable``
+    rejects raises OSError, untouched."""
     p = Path(path)
     check_replaceable(p)
-    tmp = p.with_name(p.name + ".tmp")
+    tmp = p.with_name(f"{p.name}.{secrets.token_hex(8)}.tmp")
+    # created exclusively, so no other writer's file is opened (or removed
+    # below), with the permissions the umask leaves, as open() gives
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, p)
     except BaseException:

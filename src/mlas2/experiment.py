@@ -39,6 +39,7 @@ from mlas2.dataset import (
 from mlas2.metrics import (
     DeltaReport,
     MetricsReport,
+    check_baseline,
     delta_report,
     evaluate,
     judge,
@@ -450,6 +451,7 @@ def run_experiment(
                 raise ExperimentError(
                     f"baseline run {config.baseline_run!r} has no report for test {expr!r}"
                 )
+            check_baseline(base_reports[expr], str(base_path), ExperimentError)
 
     translator = build_translator(config.translator)
 

@@ -168,6 +168,18 @@ class DeltaReport:
         }
 
 
+def check_baseline(report: MetricsReport, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``where``, the test and the metric unless every
+    metric of a baseline report is positive: ``delta_report`` divides by each."""
+    for metric in ("p_at_1", "map", "mrr"):
+        value = getattr(report, metric)
+        if value <= 0.0:
+            raise error(
+                f"{where}: test {report.test_set!r}: baseline {metric} must be positive, "
+                f"got {value}"
+            )
+
+
 def delta_report(
     baseline: MetricsReport,
     run: MetricsReport,

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
-from mlas2.dataset import SCORE, TEXT, QuestionGroup, iter_jsonl, read_fields
+from mlas2.dataset import SCORE, QuestionGroup, read_table
 from mlas2.wire import post_json
 
 
@@ -198,13 +198,7 @@ class StaticScorer(Scorer):
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "StaticScorer":
         """Load a JSONL file of ``{"qid":str,"cid":str,"score":float}`` records."""
-        table: dict[tuple[str, str], float] = {}
-        for where, rec in iter_jsonl(path):
-            qid, cid, score = read_fields(
-                rec, where, "score", {"qid": TEXT, "cid": TEXT, "score": SCORE}
-            )
-            table[(qid, cid)] = score
-        return cls(table)
+        return cls(read_table(path, "score", ("qid", "cid"), "score", SCORE))
 
     def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
         try:

@@ -12,18 +12,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from mlas2.dataset import SCORE, TEXT, TEXTS, DatasetFormatError, FieldKind, iter_jsonl, read_fields
+from mlas2.dataset import SCORE, TEXT, TEXTS, DatasetFormatError, FieldKind, read_fields, read_table
 from mlas2.reranking import IdfTable, LexicalScorer
 from mlas2.translation import mock_translate
 
 
 def load_pair_scores(path: str | Path) -> dict[tuple[str, str], float]:
     """Static score table for the mock scorer: JSONL ``{"q","t","score"}``."""
-    table: dict[tuple[str, str], float] = {}
-    for where, rec in iter_jsonl(path):
-        q, t, score = read_fields(rec, where, "pair-score", {"q": TEXT, "t": TEXT, "score": SCORE})
-        table[(q, t)] = score
-    return table
+    return read_table(path, "pair-score", ("q", "t"), "score", SCORE)
 
 
 class _CountingServer(ThreadingHTTPServer):

@@ -18,7 +18,15 @@ from typing import Iterable, Iterator, Sequence
 
 import requests
 
-from mlas2.dataset import TEXT, TEXTS, DatasetFormatError, read_fields, text_lines, validate_language
+from mlas2.dataset import (
+    TEXT,
+    TEXTS,
+    DatasetFormatError,
+    jsonl_line,
+    read_fields,
+    text_lines,
+    validate_language,
+)
 from mlas2.wire import post_json
 
 
@@ -187,16 +195,12 @@ class TranslationCache:
             for text, translated in pairs:
                 h = self.text_key(text)
                 self._entries[(src, tgt, h)] = translated
-                lines.append(
-                    json.dumps(
-                        {"backend": self.backend, "src": src, "tgt": tgt, "hash": h,
-                         "text": translated},
-                        ensure_ascii=False,
-                    )
-                )
+                lines.append(jsonl_line(
+                    {"backend": self.backend, "src": src, "tgt": tgt, "hash": h, "text": translated}
+                ))
             if lines:
                 with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                    fh.write("".join(lines))
 
 
 def cached_translate(

@@ -7,7 +7,9 @@ lines alongside pytest's own output.
 import importlib.util
 import json
 import math
+import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -330,6 +332,33 @@ def test_c08_end_to_end_toy_run(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     ok(8, f"metrics {report['p_at_1']:.4f}/{report['map']:.4f}/{report['mrr']:.4f}, {elapsed:.2f}s")
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the demo script needs bash")
+def test_demo_pipeline_script_matches_the_oracle(tmp_path):
+    # the README's scripts/demo_pipeline.sh, with an mlas2 command on PATH
+    # that runs this interpreter on this checkout's package
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "mlas2"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m mlas2 "$@"\n')
+    shim.chmod(0o755)
+    env = {
+        **os.environ,
+        "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    out = tmp_path / "demo"
+    result = subprocess.run(
+        ["bash", str(ROOT / "scripts" / "demo_pipeline.sh"), str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    reports = RunRecord.load(out / "runs" / "toy-demo.json").reports
+    expected = json.loads((TOY / "expected_metrics.json").read_text())
+    assert [r.to_json_dict() for r in reports if r.test_set == "En+De"] == [expected]
 
 
 def test_toy_fixture_generator_reproduces_the_fixture(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from conftest import make_candidate, make_question
 from mlas2.candidates import (
     Document,
     DocumentCorpus,
-    build_index,
     export_annotation_tasks,
     import_annotations,
     load_corpus,
@@ -21,7 +20,7 @@ from mlas2.candidates import (
     sentence_spans,
     split_sentences,
 )
-from mlas2.dataset import QuestionGroup, stats, validate_dataset
+from mlas2.dataset import DatasetFormatError, QuestionGroup, stats, validate_dataset
 from mlas2.reranking import IdfTable, LexicalScorer, TextPairScorer, tokenize
 
 
@@ -89,21 +88,27 @@ def full_sort_retrieval(query, corpus, k):
 # ---------------------------------------------------------------------------
 
 def test_postings_count_term_frequencies():
-    corpus = build_index([{"id": "d1", "text": "a b a"}])
+    corpus = DocumentCorpus([Document("d1", "a b a")])
     assert corpus.postings("a") == [("d1", 2)]
     assert corpus.postings("b") == [("d1", 1)]
     assert corpus.postings("zzz") == []
 
 
 def test_empty_corpus():
-    corpus = build_index([])
+    corpus = DocumentCorpus([])
     assert corpus.num_docs == 0
     assert corpus.postings("a") == []
 
 
-def test_duplicate_doc_id_rejected():
+def test_duplicate_doc_id_rejected(tmp_path):
     with pytest.raises(ValueError, match="duplicate document id"):
-        build_index([{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}])
+        DocumentCorpus([Document("d1", "a"), Document("d1", "b")])
+    # a corpus file names the second record's line
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d1", "text": "a"}\n\n{"id": "d1", "text": "b"}\n')
+    with pytest.raises(DatasetFormatError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}:3: duplicate corpus record for 'd1'"
 
 
 def test_postings_match_linear_scan_oracle():
@@ -123,18 +128,18 @@ def test_postings_match_linear_scan_oracle():
 # ---------------------------------------------------------------------------
 
 def test_query_equal_to_document_ranks_it_first():
-    corpus = build_index(
+    corpus = DocumentCorpus(
         [
-            {"id": "d1", "text": "apples grow on trees"},
-            {"id": "d2", "text": "the moon orbits the earth"},
-            {"id": "d3", "text": "rivers flow to the sea"},
+            Document("d1", "apples grow on trees"),
+            Document("d2", "the moon orbits the earth"),
+            Document("d3", "rivers flow to the sea"),
         ]
     )
     assert retrieve_documents("the moon orbits the earth", corpus, 3)[0] == "d2"
 
 
 def test_k_larger_than_corpus_returns_all():
-    corpus = build_index([{"id": "d1", "text": "a"}, {"id": "d2", "text": "b"}])
+    corpus = DocumentCorpus([Document("d1", "a"), Document("d2", "b")])
     assert retrieve_documents("a", corpus, 10) == ["d1", "d2"]
 
 
@@ -179,7 +184,7 @@ def test_top_k_equals_full_sort(texts, query, rng):
 
 
 def test_empty_query_rejected():
-    corpus = build_index([{"id": "d1", "text": "a"}])
+    corpus = DocumentCorpus([Document("d1", "a")])
     with pytest.raises(ValueError, match="no tokens"):
         retrieve_documents("!!!", corpus, 1)
 
@@ -233,7 +238,7 @@ def _scorer(corpus):
 
 
 def test_select_returns_whole_pool_when_small():
-    corpus = build_index(TOY_DOCS)
+    corpus = DocumentCorpus([Document(**d) for d in TOY_DOCS])
     q = make_question("q1", "what do cats chase")
     cands = select_candidates(q, corpus, _scorer(corpus), k_docs=3, k_sents=100)
     assert len(cands) == 7  # every sentence of every document
@@ -242,7 +247,7 @@ def test_select_returns_whole_pool_when_small():
 
 
 def test_select_keeps_duplicate_sentences_distinct():
-    corpus = build_index(TOY_DOCS)
+    corpus = DocumentCorpus([Document(**d) for d in TOY_DOCS])
     q = make_question("q1", "what do cats chase")
     cands = select_candidates(q, corpus, _scorer(corpus), k_docs=3, k_sents=100)
     dupes = [c for c in cands if c.text == "Cats chase mice."]
@@ -267,7 +272,7 @@ _DOC = st.lists(_SENTENCE, min_size=1, max_size=12).map(" ".join)
     texts=[d["text"] for d in TOY_DOCS], query="what do cats chase", k_docs=3, k_sents=4
 )
 def test_select_matches_score_and_sort_oracle(texts, query, k_docs, k_sents):
-    corpus = build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts, start=1)])
+    corpus = DocumentCorpus([Document(f"d{i}", t) for i, t in enumerate(texts, start=1)])
     scorer = _scorer(corpus)
     q = make_question("q1", query)
     got = select_candidates(q, corpus, scorer, k_docs=k_docs, k_sents=k_sents)
@@ -284,7 +289,7 @@ def test_select_matches_score_and_sort_oracle(texts, query, k_docs, k_sents):
 
 
 def test_select_respects_k_docs():
-    corpus = build_index(TOY_DOCS)
+    corpus = DocumentCorpus([Document(**d) for d in TOY_DOCS])
     q = make_question("q1", "cats chase mice")
     cands = select_candidates(q, corpus, _scorer(corpus), k_docs=1, k_sents=100)
     assert {c.id.split(":")[0] for c in cands} <= {"d1", "d3"}
@@ -314,7 +319,7 @@ _U_QUERY = st.lists(
 
 
 def _unicode_corpus(texts):
-    return build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+    return DocumentCorpus([Document(f"d{i}", t) for i, t in enumerate(texts)])
 
 
 class _TextPath(TextPairScorer):
@@ -427,7 +432,7 @@ def test_export_rejects_labeled(tmp_path):
 
 
 def _build_tasks(tmp_path):
-    corpus = build_index(TOY_DOCS)
+    corpus = DocumentCorpus([Document(**d) for d in TOY_DOCS])
     scorer = _scorer(corpus)
     tasks = []
     for qid, text in (("q1", "what do cats chase"), ("q2", "what is the sun")):

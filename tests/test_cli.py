@@ -502,6 +502,61 @@ def test_evaluate_rejects_a_corrupt_rankings_file(capsys, fixture_path, tmp_path
     assert "q1" in err
 
 
+# each keyed input: the command line, where {data} is the dataset, {tasks} an
+# annotation task file and {file} the keyed file; two records with one key;
+# and the end of the error
+REPEATED_KEYS = {
+    "static-scores": (
+        "rank {data} --scorer static --scores {file} --out {out}",
+        [{"qid": "q1", "cid": "q1c0", "score": 0.9}, {"qid": "q1", "cid": "q1c0", "score": 0.0}],
+        "score record for ('q1', 'q1c0')",
+    ),
+    "gold": (
+        "candidates annotate --tasks {tasks} --gold {file} --out {out}",
+        [{"qid": "q1", "cid": "c1", "label": 1}, {"qid": "q1", "cid": "c1", "label": 0}],
+        "gold record for ('q1', 'c1')",
+    ),
+    "rankings": (
+        "evaluate {data} --rankings {file}",
+        [{"qid": "q1", "ranking": [["q1c0", 0.9], ["q1c1", 0.1]]},
+         {"qid": "q1", "ranking": [["q1c1", 0.9], ["q1c0", 0.1]]}],
+        "ranking record for 'q1'",
+    ),
+    "corpus": (
+        "candidates build --corpus {file} --questions {data} --out {out}",
+        [{"id": "d1", "text": "The sky is blue."}, {"id": "d1", "text": "Grass is green."}],
+        "corpus record for 'd1'",
+    ),
+    "pair-scores": (
+        "serve mock-scorer --scores {file}",
+        [{"q": "q", "t": "t", "score": 0.9}, {"q": "q", "t": "t", "score": 0.0}],
+        "pair-score record for ('q', 't')",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_a_repeated_key_exits_2_before_the_work(capsys, monkeypatch, tmp_path, name):
+    # a static or pair score file kept the last of a key's records: a table
+    # scoring the right answer 0.9, then 0.0, evaluated to P@1 0.0 with exit 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command went on past its input")
+
+    for target in ("mlas2.cli.rank", "mlas2.cli.evaluate_dataset", "mlas2.cli.judge",
+                   "mlas2.candidates.select_candidates", "mlas2.servers.make_scorer_server"):
+        monkeypatch.setattr(target, no_work)
+    data, tasks, path = tmp_path / "data.jsonl", tmp_path / "tasks.jsonl", tmp_path / "keyed.jsonl"
+    write_fixture(data)
+    tasks.write_text(json.dumps({"qid": "q1", "cid": "c1", "q": "q", "t": "t", "label": None}) + "\n")
+    command, records, error = REPEATED_KEYS[name]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = command.format(data=data, tasks=tasks, file=path, out=tmp_path / "out.jsonl").split()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"mlas2: error: {path}:2: duplicate {error}\n"
+    assert sorted(tmp_path.iterdir()) == [data, path, tasks]
+
+
 def test_evaluate_with_baseline_reports_delta(capsys, fixture_path, tmp_path):
     d = load_dataset(fixture_path, "train")
     scores = perfect_scores_path(tmp_path, d)
@@ -541,6 +596,17 @@ def test_evaluate_malformed_baseline_exits_2(capsys, fixture_path, tmp_path, bas
     )
     assert code == 2
     assert "baseline.json" in err and "metrics report" in err
+
+
+def test_evaluate_zero_metric_baseline_exits_2_before_any_output(capsys, fixture_path, tmp_path):
+    # the report was printed before the relative change failed on the zero
+    base_path = tmp_path / "baseline.json"
+    base_path.write_text(json.dumps({"test": "x", "n": 2, "p_at_1": 0.0, "map": 0.5, "mrr": 0.5}))
+    code, out, err = run(
+        capsys, "evaluate", fixture_path, "--scorer", "lexical", "--baseline", base_path
+    )
+    assert (code, out) == (2, "")
+    assert f"{base_path}: test 'x': baseline p_at_1 must be positive, got 0.0" in err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlas2.dataset import (
+    SCORE,
     SPLITS,
     AnswerCandidate,
     Dataset,
@@ -16,11 +17,13 @@ from mlas2.dataset import (
     fingerprint_dataset,
     load_dataset,
     load_questions,
+    read_table,
     save_dataset,
     stats,
     text_lines,
     validate_dataset,
     validate_language,
+    write_lines,
 )
 
 from conftest import make_candidate, make_dataset, make_group, make_question
@@ -189,6 +192,21 @@ def test_every_loader_rejects_a_wrongly_typed_field(tmp_path_factory, data):
         loader(path)
 
 
+def test_read_table_keeps_file_order_and_keys_by_one_field_or_a_pair(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"a": "y", "b": "1", "v": 0.5}, {"a": "x", "b": "1", "v": 1}, {"a": "y", "b": "2", "v": 0},
+    ]))
+    assert list(read_table(path, "t", ("a", "b"), "v", SCORE).items()) == [
+        (("y", "1"), 0.5), (("x", "1"), 1.0), (("y", "2"), 0.0),
+    ]
+    with pytest.raises(DatasetFormatError) as exc:
+        read_table(path, "t", ("a",), "v", SCORE)
+    assert str(exc.value) == f"{path}:3: duplicate t record for 'y'"
+    path.write_text(path.read_text().splitlines(keepends=True)[0] + '{"a": "x", "v": 1}\n')
+    assert read_table(path, "t", ("a",), "v", SCORE) == {"y": 0.5, "x": 1.0}
+
+
 def test_load_rejects_duplicate_question_id(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_fixture(path, [FIXTURE_LINES[0], FIXTURE_LINES[0]])
@@ -245,6 +263,26 @@ def test_save_rejects_unlabeled(tmp_path):
         save_dataset(d, tmp_path / "x.jsonl")
     assert list(tmp_path.iterdir()) == [tmp_path / "x.jsonl"]
     assert (tmp_path / "x.jsonl").read_bytes() == b"old\n"
+
+
+def test_writers_of_one_target_keep_their_own_temp_files(tmp_path):
+    # both writers used <name>.tmp: the inner one truncated the outer one's
+    # temp file and moved it onto the target, so the outer one then wrote the
+    # target through its open file and failed to move its temp file
+    target = tmp_path / "t.jsonl"
+
+    def outer_lines():
+        yield "outer 1\n"
+        write_lines(target, ["inner\n"])
+        assert target.read_text() == "inner\n"
+        yield "outer 2\n"
+
+    write_lines(target, outer_lines())
+    assert target.read_text() == "outer 1\nouter 2\n"
+    assert list(tmp_path.iterdir()) == [target]
+    # the temp file gets the permissions open() gives a new file
+    (tmp_path / "ref").write_text("")
+    assert target.stat().st_mode == (tmp_path / "ref").stat().st_mode
 
 
 # ---------------------------------------------------------------------------

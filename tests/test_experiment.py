@@ -471,6 +471,25 @@ def test_run_experiment_loads_the_baseline_before_the_work(tmp_path, monkeypatch
         run_experiment(config, results_dir=tmp_path / "runs")
 
 
+def test_run_experiment_checks_the_baseline_metrics_before_the_work(tmp_path, monkeypatch):
+    # a zero metric failed only in the delta, after every dataset was
+    # materialized and scored, naming neither the run, the test nor the metric
+    setup_sources(tmp_path)
+    config = ExperimentConfig.from_json(write_config(tmp_path, baseline_run="b"))
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "b.json").write_text(json.dumps({
+        "run_name": "b", "config": {}, "started": "", "finished": "", "fingerprints": {},
+        "dev_maps": [], "best_iteration": 1,
+        "reports": [{"test": "En", "n": 2, "p_at_1": 0.5, "map": 0.0, "mrr": 0.5}],
+    }))
+    never_materialized(monkeypatch)
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(config, results_dir=tmp_path / "runs")
+    assert str(exc.value) == (
+        f"{tmp_path / 'runs' / 'b.json'}: test 'En': baseline map must be positive, got 0.0"
+    )
+
+
 @pytest.mark.parametrize(
     "record",
     [
