@@ -114,20 +114,19 @@ def main() -> None:
     from mlas2.candidates import load_corpus, select_candidates
     from mlas2.dataset import load_questions
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import LexicalScorer, lexical_score, rank
+    from mlas2.reranking import lexical_score, rank
     from mlas2.translation import MockTranslator
 
     corpus = load_corpus(corpus_path)
     questions = load_questions(questions_path)
     sentence_idf = corpus.sentence_idf
-    scorer = LexicalScorer(sentence_idf)
 
     answers = {qid: subs for qid, _, subs in QUESTIONS}
     gold_path = FIXTURES / "gold_labels.jsonl"
     selected = {}
     with gold_path.open("w", encoding="utf-8") as fh:
         for question in questions:
-            cands = select_candidates(question, corpus, scorer, k_docs=K_DOCS, k_sents=K_SENTS)
+            cands = select_candidates(question, corpus, k_docs=K_DOCS, k_sents=K_SENTS)
             selected[question.id] = cands
             positives = 0
             for cand in cands:

@@ -32,7 +32,6 @@ from mlas2.dataset import (
 )
 from mlas2.reranking import (
     IdfTable,
-    LexicalScorer,
     TextPairScorer,
     cosine,
     doc_norm,
@@ -150,9 +149,9 @@ class DocumentCorpus:
         return doc.text[self._starts[number] : self._ends[number]]
 
     def score_sentences(self, query: str, numbers: Iterable[int]) -> list[float]:
-        """Lexical scores of ``query`` against the numbered sentences: what
-        ``LexicalScorer(self.sentence_idf).score_pairs`` gives for their
-        texts, read from the forward index instead of re-tokenizing them."""
+        """Lexical scores of ``query`` against the numbered sentences: what a
+        ``LexicalScorer`` over every corpus sentence gives for their texts,
+        read from the forward index instead of re-tokenizing them."""
         table = self.sentence_idf
         weights, q_norm = table.vector_with_norm(query)
         term_ids = table.term_ids
@@ -248,7 +247,7 @@ def split_sentences(text: str) -> list[str]:
 def select_candidates(
     question: Question,
     corpus: DocumentCorpus,
-    scorer: TextPairScorer,
+    scorer: TextPairScorer | None = None,
     k_docs: int = 500,
     k_sents: int = 100,
 ) -> list[AnswerCandidate]:
@@ -256,10 +255,10 @@ def select_candidates(
     against the question in one call, and keep the best k_sents (ties by
     candidate id); records are built only for the sentences kept.
 
-    The lexical scorer over the corpus's own sentence table scores the pool
-    from the forward index; any other scorer gets the sentence texts.
-    Candidate ids are ``{doc_id}:{sentence_index}``; labels stay None until
-    annotation.
+    With no scorer, the corpus scores the pool lexically from its forward
+    index (``score_sentences``); a scorer gets the sentence texts in one
+    ``score_pairs`` call. Candidate ids are ``{doc_id}:{sentence_index}``;
+    labels stay None until annotation.
     """
     if k_sents < 1:
         raise ValueError(f"k_sents must be >= 1, got {k_sents}")
@@ -273,7 +272,7 @@ def select_candidates(
             pool[f"{doc_id}:{i}"] = number
     if not pool:
         raise ValueError(f"no candidate sentences for question {question.id!r}")
-    if type(scorer) is LexicalScorer and scorer.idf_table is corpus.sentence_idf:
+    if scorer is None:
         scores = corpus.score_sentences(question.text, pool.values())
     else:
         scores = scorer.score_pairs(
@@ -318,19 +317,28 @@ def import_annotations(
     Labels come from the gold file when given, otherwise from the (edited)
     task file itself; every task must end up with a 0/1 label. Candidate ids
     are qualified as ``{qid}:{cid}`` so they stay unique dataset-wide even
-    when two questions selected the same sentence.
+    when two questions selected the same sentence. A repeated qualified id,
+    or a second text of one question, is a ``DatasetFormatError``.
     """
     gold = load_gold_labels(gold_path) if gold_path is not None else None
     questions: dict[str, Question] = {}
     grouped: dict[str, list[AnswerCandidate]] = {}
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     for where, rec in iter_jsonl(tasks_path):
         qid, cid, q_text, t_text = read_fields(
             rec, where, "task", {"qid": TEXT, "cid": TEXT, "q": TEXT, "t": TEXT}
         )
-        if (qid, cid) in seen:
-            raise DatasetFormatError(f"{where}: duplicate task for {(qid, cid)!r}")
-        seen.add((qid, cid))
+        full_cid = f"{qid}:{cid}"
+        if full_cid in seen:
+            raise DatasetFormatError(f"{where}: duplicate candidate id {full_cid!r}")
+        seen.add(full_cid)
+        if qid not in questions:
+            questions[qid] = Question(qid, qid, q_text, (language,))
+        elif questions[qid].text != q_text:
+            raise DatasetFormatError(
+                f"{where}: question {qid!r} has text {q_text!r}, "
+                f"but its first task has {questions[qid].text!r}"
+            )
         if gold is not None:
             if (qid, cid) not in gold:
                 raise DatasetFormatError(f"{where}: no gold label for {(qid, cid)!r}")
@@ -339,9 +347,6 @@ def import_annotations(
             raise DatasetFormatError(f"{where}: task for {(qid, cid)!r} is unlabeled")
         else:
             (label,) = read_fields(rec, where, "task", {"label": LABEL})
-        if qid not in questions:
-            questions[qid] = Question(qid, qid, q_text, (language,))
-        full_cid = f"{qid}:{cid}"
         grouped.setdefault(qid, []).append(
             AnswerCandidate(full_cid, full_cid, t_text, label, (language,))
         )

@@ -20,6 +20,7 @@ from mlas2.dataset import (
     TEXT,
     DatasetFormatError,
     FieldKind,
+    check_replaceable,
     filter_answerable,
     jsonl_line,
     load_dataset,
@@ -80,13 +81,11 @@ def _translator(args) -> Translator:
 
 
 def _scorer(args, texts) -> Scorer:
-    """The scorer the flags describe, for ranking ``texts`` (or the texts of an
-    ``IdfTable``); a remote scorer without --endpoint or a static one without
-    --scores is a usage error."""
-    scores_path = getattr(args, "scores", None)  # `candidates build` has no --scores
+    """The scorer the flags describe, for ranking ``texts``; a remote scorer
+    without --endpoint or a static one without --scores is a usage error."""
     try:
         spec = ScorerSpec(
-            args.scorer, endpoint=args.endpoint, scores_path=scores_path, batch_size=args.batch_size
+            args.scorer, endpoint=args.endpoint, scores_path=args.scores, batch_size=args.batch_size
         )
     except ValueError as exc:
         raise UsageError(f"mlas2: {exc}") from exc
@@ -151,9 +150,10 @@ def cmd_dataset_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_candidates_build(args) -> int:
-    corpus = candidates.load_corpus(args.corpus)
+    # questions and scorer first, so that either fails before the index build
     questions = load_questions(args.questions)
-    scorer = _scorer(args, corpus.sentence_idf)
+    scorer = _scorer(args, ()) if args.scorer == "remote" else None
+    corpus = candidates.load_corpus(args.corpus)
     tasks = []
     total = 0
     for question in questions:
@@ -316,6 +316,7 @@ def _port(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlas2", description=__doc__)
+    parser.set_defaults(out=None)  # for the subcommands without --out
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="dataset transforms and checks")
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="remote scorer URL")
     p.add_argument("--max-seq-len", type=int, default=128, dest="max_seq_len")
     p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
-    p.set_defaults(func=cmd_candidates_build)
+    p.set_defaults(func=cmd_candidates_build, scores=None)
 
     p = csub.add_parser("annotate", help="merge labels into tasks, emit a dataset")
     p.add_argument("--tasks", required=True)
@@ -422,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            # before any input is read: an output that cannot be written
+            # fails the command before its work, not after
+            check_replaceable(args.out)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

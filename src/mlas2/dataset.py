@@ -406,10 +406,13 @@ def jsonl_line(rec: object) -> str:
 def check_replaceable(path: str | Path) -> None:
     """Raise OSError unless ``write_lines`` may replace ``path``: an existing
     ``path`` that is not a regular file (a FIFO, a directory, a symlink such
-    as ``/dev/stdout``) is left untouched."""
+    as ``/dev/stdout``) is left untouched, and a ``path`` whose directory is
+    missing cannot be written."""
     p = Path(path)
     if p.is_symlink() or p.exists() and not p.is_file():
         raise OSError(f"{p}: not a regular file, so not replaced")
+    if not p.parent.is_dir():
+        raise OSError(f"{p}: no directory {p.parent} to write into")
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -45,7 +45,6 @@ from mlas2.metrics import (
     judge,
 )
 from mlas2.reranking import (
-    IdfTable,
     LexicalScorer,
     RemoteScorer,
     Scorer,
@@ -331,15 +330,12 @@ def build_translator(spec: TranslatorSpec) -> Translator:
     return backend
 
 
-def build_scorer(
-    spec: ScorerSpec, texts: Iterable[str] | IdfTable, *, max_seq_len: int
-) -> Scorer:
+def build_scorer(spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int) -> Scorer:
     """Construct the scorer a spec describes for ranking ``texts``, the
-    candidate texts it will score, or the texts an ``IdfTable`` was built
-    over. This is where a lexical scorer gets its idf table: that table, or
-    one built from the texts. The other kinds ignore them."""
+    candidate texts it will score; a lexical scorer builds its idf table from
+    them, and the other kinds ignore them."""
     if spec.kind == "lexical":
-        return LexicalScorer(texts if isinstance(texts, IdfTable) else IdfTable.from_texts(texts))
+        return LexicalScorer(texts)
     if spec.kind == "remote":
         return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
     return StaticScorer.from_jsonl(spec.scores_path)
@@ -496,6 +492,8 @@ def run_experiment(
     deltas: list[DeltaReport] = []
     if config.baseline_run:
         if config.baseline_run == config.run_name:
+            for r in reports:
+                check_baseline(r, f"run {config.run_name!r}", ExperimentError)
             base_reports = {r.test_set: r for r in reports}
         deltas = [
             delta_report(

@@ -170,8 +170,10 @@ class TextPairScorer(Scorer):
 
 
 class LexicalScorer(TextPairScorer):
-    def __init__(self, idf_table: IdfTable) -> None:
-        self.idf_table = idf_table
+    """Tf-idf cosine over an idf table built from ``texts``, the texts it ranks."""
+
+    def __init__(self, texts: Iterable[str]) -> None:
+        self.idf_table = IdfTable.from_texts(texts)
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Each distinct question text is vectorized once per call."""

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from mlas2.dataset import SCORE, TEXT, TEXTS, DatasetFormatError, FieldKind, read_fields, read_table
-from mlas2.reranking import IdfTable, LexicalScorer
+from mlas2.reranking import LexicalScorer
 from mlas2.translation import mock_translate
 
 
@@ -110,7 +110,7 @@ class _ScorerHandler(_JsonHandler):
         table = self.server.pair_scores
         if table is None:
             # zero-config mode: tf-idf over the candidate texts of this request
-            scorer = LexicalScorer(IdfTable.from_texts(t for _, t in qt))
+            scorer = LexicalScorer(t for _, t in qt)
             return 200, {"scores": scorer.score_pairs(qt)}
         missing = next((key for key in qt if key not in table), None)
         if missing is not None:

@@ -203,28 +203,6 @@ class TranslationCache:
                     fh.write("".join(lines))
 
 
-def cached_translate(
-    request: TranslationRequest, backend: Translator, cache: TranslationCache
-) -> list[str]:
-    """Translate through the cache: hits bypass the backend, misses are sent
-    once (deduplicated) and persisted. Output equals an uncached call."""
-    missing = list(
-        dict.fromkeys(
-            t for t in request.texts if cache.get(request.src, request.tgt, t) is None
-        )
-    )
-    if missing:
-        translated = backend.translate_batch(
-            TranslationRequest(tuple(missing), request.src, request.tgt)
-        )
-        if len(translated) != len(missing):
-            raise TranslationError(
-                f"translator returned {len(translated)} texts for {len(missing)} inputs"
-            )
-        cache.store_many(request.src, request.tgt, zip(missing, translated))
-    return [cache.get(request.src, request.tgt, text) for text in request.texts]
-
-
 class CachingTranslator(Translator):
     """Wraps any backend with a persistent cache of that backend's output."""
 
@@ -233,4 +211,15 @@ class CachingTranslator(Translator):
         self._cache = cache
 
     def translate_batch(self, request: TranslationRequest) -> list[str]:
-        return cached_translate(request, self._backend, self._cache)
+        """Translate through the cache: hits bypass the backend, misses are
+        sent once (deduplicated) and persisted. Output equals an uncached call."""
+        src, tgt, cache = request.src, request.tgt, self._cache
+        missing = list(dict.fromkeys(t for t in request.texts if cache.get(src, tgt, t) is None))
+        if missing:
+            translated = self._backend.translate_batch(TranslationRequest(tuple(missing), src, tgt))
+            if len(translated) != len(missing):
+                raise TranslationError(
+                    f"translator returned {len(translated)} texts for {len(missing)} inputs"
+                )
+            cache.store_many(src, tgt, zip(missing, translated))
+        return [cache.get(src, tgt, text) for text in request.texts]

@@ -21,7 +21,7 @@ from mlas2.candidates import (
     split_sentences,
 )
 from mlas2.dataset import DatasetFormatError, QuestionGroup, stats, validate_dataset
-from mlas2.reranking import IdfTable, LexicalScorer, TextPairScorer, tokenize
+from mlas2.reranking import IdfTable, LexicalScorer, tokenize
 
 
 def linear_scan_postings(docs, term):
@@ -234,7 +234,7 @@ TOY_DOCS = [
 
 def _scorer(corpus):
     sentences = [s for doc in corpus.documents for s in split_sentences(doc.text)]
-    return LexicalScorer(IdfTable.from_texts(sentences))
+    return LexicalScorer(sentences)
 
 
 def test_select_returns_whole_pool_when_small():
@@ -322,17 +322,6 @@ def _unicode_corpus(texts):
     return DocumentCorpus([Document(f"d{i}", t) for i, t in enumerate(texts)])
 
 
-class _TextPath(TextPairScorer):
-    """Scores with the wrapped scorer's ``score_pairs``, so selection has to
-    hand it sentence texts."""
-
-    def __init__(self, scorer):
-        self.scorer = scorer
-
-    def score_pairs(self, pairs):
-        return self.scorer.score_pairs(pairs)
-
-
 def _select_or_error(*args, **kwargs):
     try:
         return select_candidates(*args, **kwargs)
@@ -366,10 +355,10 @@ def test_sentence_tokens_are_the_document_tokens(text):
 )
 def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
     corpus = _unicode_corpus(texts)
-    lexical = LexicalScorer(corpus.sentence_idf)
+    lexical = _scorer(corpus)  # over every split sentence, scoring texts
     q = make_question("q1", query)
-    got = _select_or_error(q, corpus, lexical, k_docs=k_docs, k_sents=k_sents)
-    assert got == _select_or_error(q, corpus, _TextPath(lexical), k_docs=k_docs, k_sents=k_sents)
+    got = _select_or_error(q, corpus, None, k_docs=k_docs, k_sents=k_sents)
+    assert got == _select_or_error(q, corpus, lexical, k_docs=k_docs, k_sents=k_sents)
 
     numbers = [j for doc in corpus.documents for j in corpus.sentences(doc.id)]
     pairs = [(query, corpus.sentence_text(j)) for j in numbers]

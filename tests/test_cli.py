@@ -523,7 +523,7 @@ REPEATED_KEYS = {
         "ranking record for 'q1'",
     ),
     "corpus": (
-        "candidates build --corpus {file} --questions {data} --out {out}",
+        "candidates build --corpus {file} --questions {questions} --out {out}",
         [{"id": "d1", "text": "The sky is blue."}, {"id": "d1", "text": "Grass is green."}],
         "corpus record for 'd1'",
     ),
@@ -546,15 +546,19 @@ def test_a_repeated_key_exits_2_before_the_work(capsys, monkeypatch, tmp_path, n
                    "mlas2.candidates.select_candidates", "mlas2.servers.make_scorer_server"):
         monkeypatch.setattr(target, no_work)
     data, tasks, path = tmp_path / "data.jsonl", tmp_path / "tasks.jsonl", tmp_path / "keyed.jsonl"
+    questions = tmp_path / "questions.jsonl"
     write_fixture(data)
+    write_fixture(questions, [r for r in FIXTURE_LINES if r["kind"] == "q"])
     tasks.write_text(json.dumps({"qid": "q1", "cid": "c1", "q": "q", "t": "t", "label": None}) + "\n")
     command, records, error = REPEATED_KEYS[name]
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    argv = command.format(data=data, tasks=tasks, file=path, out=tmp_path / "out.jsonl").split()
+    argv = command.format(
+        data=data, questions=questions, tasks=tasks, file=path, out=tmp_path / "out.jsonl"
+    ).split()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"mlas2: error: {path}:2: duplicate {error}\n"
-    assert sorted(tmp_path.iterdir()) == [data, path, tasks]
+    assert sorted(tmp_path.iterdir()) == [data, path, questions, tasks]
 
 
 def test_evaluate_with_baseline_reports_delta(capsys, fixture_path, tmp_path):
@@ -677,6 +681,69 @@ def test_candidates_build_and_annotate(capsys, tmp_path):
     d = load_dataset(dataset_path, "test")
     assert validate_dataset(d) == []
     assert first_json(out)["candidates"] == d.num_candidates()
+
+
+def _task(qid, cid, q="what is x"):
+    return {"qid": qid, "cid": cid, "q": q, "t": "x is y", "label": 1}
+
+
+ANNOTATE_CONFLICTS = {
+    # both tasks qualify to the candidate id 'q:1:d:0'
+    "qualified-id": (
+        [_task("q", "1:d:0"), _task("q:1", "d:0")], "duplicate candidate id 'q:1:d:0'"
+    ),
+    "repeated-task": ([_task("q", "d:0"), _task("q", "d:0")], "duplicate candidate id 'q:d:0'"),
+    "question-text": (
+        [_task("q", "d:0"), _task("q", "d:1", q="what is z")],
+        "question 'q' has text 'what is z', but its first task has 'what is x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANNOTATE_CONFLICTS))
+def test_annotate_rejects_tasks_that_make_no_loadable_dataset(capsys, tmp_path, name):
+    # colliding qualified ids were written, and `dataset stats` then rejected
+    # the file; a second text of one question was silently dropped
+    records, error = ANNOTATE_CONFLICTS[name]
+    tasks, labeled = tmp_path / "tasks.jsonl", tmp_path / "labeled.jsonl"
+    tasks.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(capsys, "candidates", "annotate", "--tasks", tasks, "--out", labeled)
+    assert (code, out) == (2, "")
+    assert err == f"mlas2: error: {tasks}:2: {error}\n"
+    assert sorted(tmp_path.iterdir()) == [tasks]
+
+
+# every subcommand that takes --out, with an input path its loader would read
+OUT_COMMANDS = {
+    "dataset-transfer": "dataset transfer {src} --to de",
+    "dataset-mix": "dataset mix {src} {src}",
+    "dataset-concat": "dataset concat {src} {src}",
+    "dataset-compose": "dataset compose --expr En+De --source {src}",
+    "candidates-build": "candidates build --corpus {src} --questions {src}",
+    "candidates-annotate": "candidates annotate --tasks {src}",
+    "rank": "rank {src}",
+}
+
+
+@pytest.mark.parametrize("target", ["missing/out.jsonl", "directory"])
+@pytest.mark.parametrize("name", sorted(OUT_COMMANDS))
+def test_an_unwritable_out_exits_2_before_any_input_is_read(
+    capsys, monkeypatch, tmp_path, name, target
+):
+    # `candidates build --out <dir>` failed only after the whole job
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for loader in ("mlas2.cli.load_dataset", "mlas2.cli.load_questions",
+                   "mlas2.candidates.load_corpus", "mlas2.candidates.import_annotations"):
+        monkeypatch.setattr(loader, no_read)
+    (tmp_path / "directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = OUT_COMMANDS[name].format(src=tmp_path / "input.jsonl").split()
+    code, out, err = run(capsys, *argv, "--out", tmp_path / target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mlas2: error: {tmp_path / target}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("k_sents", [-1, 0])

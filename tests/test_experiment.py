@@ -31,7 +31,7 @@ from mlas2.experiment import (
     scripted_dev_map,
 )
 from mlas2.metrics import evaluate, judge
-from mlas2.reranking import IdfTable, LexicalScorer, ScoringError, StaticScorer
+from mlas2.reranking import LexicalScorer, ScoringError, StaticScorer
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def per_group_report(dataset, scorer):
 @given(d=tie_heavy_datasets())
 def test_evaluate_dataset_equals_per_group_rank(d):
     assume(filter_answerable(d).groups)
-    lexical = LexicalScorer(IdfTable.from_texts(d.candidate_texts()))
+    lexical = LexicalScorer(d.candidate_texts())
     assert evaluate_dataset(d, lexical) == per_group_report(d, lexical)
     static = StaticScorer(tie_table(d))
     assert evaluate_dataset(d, static) == per_group_report(d, static)
@@ -488,6 +488,24 @@ def test_run_experiment_checks_the_baseline_metrics_before_the_work(tmp_path, mo
     assert str(exc.value) == (
         f"{tmp_path / 'runs' / 'b.json'}: test 'En': baseline map must be positive, got 0.0"
     )
+
+
+def test_a_run_that_is_its_own_baseline_checks_its_reports_before_the_deltas(tmp_path):
+    # a zero in its own reports failed in the delta with a bare ValueError,
+    # naming neither the run, the test nor the metric
+    d, _ = setup_sources(tmp_path)
+    inverted = {(g.question.id, c.id): 1.0 - c.label for g in d.groups for c in g.candidates}
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(
+        json.dumps({"qid": qid, "cid": cid, "score": s}) + "\n" for (qid, cid), s in inverted.items()
+    ))
+    config = ExperimentConfig.from_json(write_config(
+        tmp_path, baseline_run="toy-run", scorer={"kind": "static", "scores_path": str(scores)}
+    ))
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(config, results_dir=tmp_path / "runs")
+    assert str(exc.value) == "run 'toy-run': test 'En': baseline p_at_1 must be positive, got 0.0"
+    assert list((tmp_path / "runs").iterdir()) == []
 
 
 @pytest.mark.parametrize(

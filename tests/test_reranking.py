@@ -101,7 +101,7 @@ def test_identical_texts_score_exactly_one():
     idf = IdfTable.from_texts(["a b c"])
     assert per_pair_lexical_score("a b c", "a b c", idf) > 1.0
     assert lexical_score("a b c", "a b c", idf) == 1.0
-    assert LexicalScorer(idf).score_pairs([("a b c", "a b c")]) == [1.0]
+    assert LexicalScorer(["a b c"]).score_pairs([("a b c", "a b c")]) == [1.0]
 
 
 _words = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee", "f", "gg"]), max_size=8).map(
@@ -124,7 +124,7 @@ def test_score_pairs_equals_per_pair_formula(corpus, questions, picks):
         q = questions[i % len(questions)]
         pairs.append((q, q if self_pair else text))
     expected = [min(1.0, per_pair_lexical_score(q, t, idf)) for q, t in pairs]
-    assert LexicalScorer(idf).score_pairs(pairs) == expected
+    assert LexicalScorer(corpus).score_pairs(pairs) == expected
     assert [lexical_score(q, t, idf) for q, t in pairs] == expected
 
 

@@ -13,7 +13,6 @@ from mlas2.translation import (
     TranslationRequest,
     Translator,
     _batches,
-    cached_translate,
     mock_translate,
 )
 
@@ -97,9 +96,10 @@ def test_cache_hit_skips_backend(tmp_path):
     cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
     req = TranslationRequest(("hello", "world"), "en", "de")
-    first = cached_translate(req, backend, cache)
+    translator = CachingTranslator(backend, cache)
+    first = translator.translate_batch(req)
     assert backend.batch_calls == 1
-    second = cached_translate(req, backend, cache)
+    second = translator.translate_batch(req)
     assert second == first
     assert backend.batch_calls == 1
 
@@ -107,8 +107,9 @@ def test_cache_hit_skips_backend(tmp_path):
 def test_partial_hit_sends_only_misses(tmp_path):
     cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
-    cached_translate(TranslationRequest(("one",), "en", "de"), backend, cache)
-    cached_translate(TranslationRequest(("one", "two", "three"), "en", "de"), backend, cache)
+    translator = CachingTranslator(backend, cache)
+    translator.translate_batch(TranslationRequest(("one",), "en", "de"))
+    translator.translate_batch(TranslationRequest(("one", "two", "three"), "en", "de"))
     assert backend.texts_sent == 3  # 1 + the 2 misses
 
 
@@ -119,7 +120,9 @@ def test_short_backend_reply_is_an_error_never_truncation(tmp_path):
 
     cache = TranslationCache(tmp_path / "cache.jsonl", "mock")
     with pytest.raises(TranslationError, match="1 texts for 2 inputs"):
-        cached_translate(TranslationRequest(("a", "b"), "en", "de"), DropsLast(), cache)
+        CachingTranslator(DropsLast(), cache).translate_batch(
+            TranslationRequest(("a", "b"), "en", "de")
+        )
     assert len(cache) == 0
 
 
@@ -139,14 +142,14 @@ def test_cached_matches_uncached_oracle(tmp_path):
 
 def test_cache_survives_reload(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cached_translate(
-        TranslationRequest(("persist me",), "en", "de"),
-        MockTranslator(),
-        TranslationCache(path, "mock"),
+    CachingTranslator(MockTranslator(), TranslationCache(path, "mock")).translate_batch(
+        TranslationRequest(("persist me",), "en", "de")
     )
     reloaded = TranslationCache(path, "mock")
     backend = CountingTranslator(MockTranslator())
-    out = cached_translate(TranslationRequest(("persist me",), "en", "de"), backend, reloaded)
+    out = CachingTranslator(backend, reloaded).translate_batch(
+        TranslationRequest(("persist me",), "en", "de")
+    )
     assert out == ["de:persist de:me"]
     assert backend.batch_calls == 0
 
@@ -166,7 +169,7 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert cache.get("en", "de", "missing") is None
     # the corrupt entries behave as misses and get rewritten
     backend = CountingTranslator(MockTranslator())
-    cached_translate(TranslationRequest(("missing",), "en", "de"), backend, cache)
+    CachingTranslator(backend, cache).translate_batch(TranslationRequest(("missing",), "en", "de"))
     assert TranslationCache(path, "mock").get("en", "de", "missing") == "de:missing"
 
 
@@ -202,15 +205,17 @@ def test_cache_skips_a_line_with_a_lone_surrogate(tmp_path):
     path.write_text(json.dumps(line) + "\n")
     cache = TranslationCache(path, "mock")
     assert len(cache) == 0
-    assert cached_translate(TranslationRequest(("x",), "en", "de"), MockTranslator(), cache) == ["de:x"]
+    translator = CachingTranslator(MockTranslator(), cache)
+    assert translator.translate_batch(TranslationRequest(("x",), "en", "de")) == ["de:x"]
 
 
 def test_cache_is_content_addressed(tmp_path):
     cache = TranslationCache(tmp_path / "c.jsonl", "mock")
     backend = CountingTranslator(MockTranslator())
-    cached_translate(TranslationRequest(("a", "b"), "en", "de"), backend, cache)
+    translator = CachingTranslator(backend, cache)
+    translator.translate_batch(TranslationRequest(("a", "b"), "en", "de"))
     # same texts, different batch order: all hits
-    out = cached_translate(TranslationRequest(("b", "a"), "en", "de"), backend, cache)
+    out = translator.translate_batch(TranslationRequest(("b", "a"), "en", "de"))
     assert out == ["de:b", "de:a"]
     assert backend.batch_calls == 1
 
@@ -218,7 +223,7 @@ def test_cache_is_content_addressed(tmp_path):
 def test_cache_serves_only_its_own_backend(tmp_path):
     path = tmp_path / "cache.jsonl"
     request = TranslationRequest(("x",), "en", "de")
-    cached_translate(request, MockTranslator(), TranslationCache(path, "mock"))
+    CachingTranslator(MockTranslator(), TranslationCache(path, "mock")).translate_batch(request)
     line = {"src": "en", "tgt": "de", "hash": TranslationCache.text_key("y"), "text": "de:y"}
     with path.open("a") as fh:
         fh.write(json.dumps(line) + "\n")  # written before lines named their backend
@@ -228,7 +233,7 @@ def test_cache_serves_only_its_own_backend(tmp_path):
     other = TranslationCache(path, "http http://127.0.0.1:1/translate")
     assert len(other) == 0
     backend = CountingTranslator(MockTranslator())
-    cached_translate(request, backend, other)
+    CachingTranslator(backend, other).translate_batch(request)
     assert backend.texts_sent == 1
     # each backend keeps its own entry for the same text
     assert len(TranslationCache(path, "mock")) == 1
