@@ -219,19 +219,28 @@ def concat(d_a: Dataset, d_b: Dataset) -> Dataset:
     return concat_many([d_a, d_b])
 
 
-def materialize(plan: CompositionExpr, source: Dataset, translator: Translator) -> Dataset:
+def materialize(
+    plan: CompositionExpr,
+    source: Dataset,
+    translator: Translator,
+    views: dict[str, Dataset] | None = None,
+) -> Dataset:
     """Build the dataset named by a composition expression out of one source.
 
     Same-language terms become transfers (a no-op for the source language),
     mixed terms become ``mix`` of two transfers, and the parts are
-    concatenated left to right. Transfers are computed once per language.
+    concatenated left to right. Transfers are computed once per language and
+    kept in ``views``, language to transferred source: pass one memo for
+    every composition of one source through one translator, and each
+    language is transferred once across them all. The output's split is the
+    source's.
     """
-    cache: dict[str, Dataset] = {}
+    views = {} if views is None else views
 
     def to_lang(lang: str) -> Dataset:
-        if lang not in cache:
-            cache[lang] = transfer(source, translator, lang)
-        return cache[lang]
+        if lang not in views:
+            views[lang] = transfer(source, translator, lang)
+        return views[lang]
 
     parts = []
     for term in plan.terms:

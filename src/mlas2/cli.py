@@ -111,8 +111,9 @@ def cmd_dataset_validate(args) -> int:
 
 
 def cmd_dataset_transfer(args) -> int:
+    translator = _translator(args)
     d = load_dataset(args.dataset, args.split)
-    out = algebra.transfer(d, _translator(args), args.to)
+    out = algebra.transfer(d, translator, args.to)
     save_dataset(out, args.out)
     _emit({"out": args.out, "groups": len(out.groups), "lang": args.to})
     return 0
@@ -138,8 +139,9 @@ def cmd_dataset_concat(args) -> int:
 
 def cmd_dataset_compose(args) -> int:
     plan = algebra.parse_composition(args.expr)
+    translator = _translator(args)
     source = load_dataset(args.source, args.split)
-    out = algebra.materialize(plan, source, _translator(args))
+    out = algebra.materialize(plan, source, translator)
     save_dataset(out, args.out)
     _emit({"out": args.out, "groups": len(out.groups), "name": out.name})
     return 0

@@ -49,6 +49,7 @@ from mlas2.reranking import (
     RemoteScorer,
     Scorer,
     StaticScorer,
+    TermIndex,
     rank,
 )
 from mlas2.translation import (
@@ -330,12 +331,15 @@ def build_translator(spec: TranslatorSpec) -> Translator:
     return backend
 
 
-def build_scorer(spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int) -> Scorer:
+def build_scorer(
+    spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int, index: TermIndex | None = None
+) -> Scorer:
     """Construct the scorer a spec describes for ranking ``texts``, the
     candidate texts it will score; a lexical scorer builds its idf table from
-    them, and the other kinds ignore them."""
+    them, reading texts through ``index`` when given, and the other kinds
+    ignore both."""
     if spec.kind == "lexical":
-        return LexicalScorer(texts)
+        return LexicalScorer(texts, index)
     if spec.kind == "remote":
         return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
     return StaticScorer.from_jsonl(spec.scores_path)
@@ -427,13 +431,15 @@ def run_experiment(
     """
     started = _now()
     hp = config.hyperparameters
-    # fail before the work: the record must be writable where it goes, and
-    # another run named as the baseline must have readable reports
+    # fail before the work: the record must be writable where it goes, the
+    # translation cache must be a file it can append to, and another run
+    # named as the baseline must have readable reports
     record_path = None
     if results_dir is not None:
         record_path = Path(results_dir) / f"{config.run_name}.json"
         record_path.parent.mkdir(parents=True, exist_ok=True)
         check_replaceable(record_path)
+    translator = build_translator(config.translator)
     base_reports: dict[str, MetricsReport] = {}
     if config.baseline_run and config.baseline_run != config.run_name:
         if results_dir is None:
@@ -449,23 +455,31 @@ def run_experiment(
                 )
             check_baseline(base_reports[expr], str(base_path), ExperimentError)
 
-    translator = build_translator(config.translator)
+    # one load per source file and one transfer per (source, language): the
+    # compositions of a source share its views
+    sources: dict[str, tuple[Dataset, dict[str, Dataset]]] = {}
 
-    ft_plan = parse_composition(config.ft_expr)
-    dev_plan = parse_composition(config.dev_expr)
-    test_plans = [(expr, parse_composition(expr)) for expr in config.test_exprs]
+    def compose(expr: str, path: str, split: str) -> Dataset:
+        if path not in sources:
+            sources[path] = (load_dataset(path, split), {})
+        source, views = sources[path]
+        return replace(materialize(parse_composition(expr), source, translator, views), split=split)
 
-    ft_data = materialize(ft_plan, load_dataset(config.source_train, "train"), translator)
-    dev_data = materialize(dev_plan, load_dataset(config.source_dev, "dev"), translator)
-    source_test = load_dataset(config.source_test, "test")
-    test_data = [(expr, materialize(plan, source_test, translator)) for expr, plan in test_plans]
+    ft_data = compose(config.ft_expr, config.source_train, "train")
+    dev_data = compose(config.dev_expr, config.source_dev, "dev")
+    test_data = [(expr, compose(expr, config.source_test, "test")) for expr in config.test_exprs]
 
     fingerprints = {"ft": fingerprint_dataset(ft_data), "dev": fingerprint_dataset(dev_data)}
     for expr, data in test_data:
         fingerprints[f"test:{expr}"] = fingerprint_dataset(data)
 
+    # the run's lexical scorers tokenize each distinct text once, between them
+    index = TermIndex()
+
     def scorer_for(data: Dataset) -> Scorer:
-        return build_scorer(config.scorer, data.candidate_texts(), max_seq_len=hp.max_seq_len)
+        return build_scorer(
+            config.scorer, data.candidate_texts(), max_seq_len=hp.max_seq_len, index=index
+        )
 
     # the lexical baseline's idf table always comes from the dataset it scores
     rebind_per_test = trainer is None and config.scorer.kind == "lexical"

@@ -17,6 +17,7 @@ import math
 import re
 import reprlib
 from abc import ABC, abstractmethod
+from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import islice
@@ -46,17 +47,66 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+class TermIndex:
+    """Each distinct text tokenized once, as term ids and counts in
+    first-occurrence order, stored flat: text ``n`` holds the entries from
+    ``_first[n]`` up to ``_first[n + 1]``. Terms and texts are numbered in
+    first-seen order. An index lives as long as its owner: one run, or one
+    scorer."""
+
+    def __init__(self) -> None:
+        self.term_ids: dict[str, int] = {}
+        self._numbers: dict[str, int] = {}
+        self._first = array("q", [0])
+        self._terms = array("i")
+        self._counts = array("i")
+
+    def number(self, text: str) -> int:
+        """The text's number; a text seen for the first time is tokenized."""
+        n = self._numbers.get(text)
+        if n is None:
+            counts = Counter(tokenize(text))
+            ids = self.term_ids
+            for term in counts:
+                ids.setdefault(term, len(ids))
+            self._terms.extend(map(ids.__getitem__, counts))
+            self._counts.extend(counts.values())
+            self._first.append(len(self._terms))
+            n = self._numbers[text] = len(self._numbers)
+        return n
+
+    def numbers(self, texts: Iterable[str]) -> array:
+        """The numbers of ``texts``, in order."""
+        return array("i", map(self.number, texts))
+
+    def terms(self, n: int) -> tuple[array, array]:
+        """Text ``n``'s term ids and their counts."""
+        span = slice(self._first[n], self._first[n + 1])
+        return self._terms[span], self._counts[span]
+
+    def document_frequencies(self, numbers: Iterable[int]) -> dict[int, int]:
+        """How many of the numbered texts hold each term id, each text
+        counted as often as its number is given."""
+        df = [0] * len(self.term_ids)
+        first, terms = self._first, self._terms
+        for n in numbers:
+            for t in terms[first[n] : first[n + 1]]:
+                df[t] += 1
+        return {t: k for t, k in enumerate(df) if k}
+
+
 class IdfTable:
     """Smoothed inverse document frequencies over a candidate corpus:
     idf(w) = ln((N+1)/(df(w)+1)) + 1, computed once per term at construction;
-    every unseen term shares the df = 0 value.
+    every unseen term shares the df = 0 value. Terms are keyed by their text
+    or, in a table built through a ``TermIndex``, by their term ids.
 
     This is the package's one tf-idf core: the lexical scorer, the mock
     scorer server, document retrieval and the corpus sentence index all
     weigh terms through it, the index by term id.
     """
 
-    def __init__(self, df: dict[str, int], num_docs: int) -> None:
+    def __init__(self, df: dict, num_docs: int) -> None:
         self.df = dict(df)
         self.num_docs = num_docs
         self._idf = {
@@ -65,7 +115,12 @@ class IdfTable:
         self._unseen_idf = math.log(num_docs + 1) + 1.0
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str]) -> "IdfTable":
+    def from_texts(cls, texts: Iterable[str], index: TermIndex | None = None) -> "IdfTable":
+        """The table of ``texts``, each text one document. Given a term index,
+        the texts are read through it and the table is keyed by its term ids."""
+        if index is not None:
+            numbers = index.numbers(texts)
+            return cls(index.document_frequencies(numbers), len(numbers))
         df: Counter[str] = Counter()
         n = 0
         for text in texts:
@@ -88,8 +143,14 @@ class IdfTable:
 
     def vector(self, text: str) -> dict[str, float]:
         """Tf-idf weights of a text's terms, in first-occurrence order."""
+        counts = Counter(tokenize(text))
+        return self.vector_of(counts, counts.values())
+
+    def vector_of(self, terms: Iterable, tfs: Iterable[int]) -> dict:
+        """Tf-idf weights (tf times idf) of terms, or of term ids in a table
+        keyed by them, given with their counts; in the order given."""
         idf, unseen = self._idf, self._unseen_idf
-        return {term: tf * idf.get(term, unseen) for term, tf in Counter(tokenize(text)).items()}
+        return {term: tf * idf.get(term, unseen) for term, tf in zip(terms, tfs)}
 
     def vector_with_norm(self, text: str) -> tuple[dict[str, float], float]:
         """A text's tf-idf vector and its Euclidean norm."""
@@ -170,21 +231,33 @@ class TextPairScorer(Scorer):
 
 
 class LexicalScorer(TextPairScorer):
-    """Tf-idf cosine over an idf table built from ``texts``, the texts it ranks."""
+    """Tf-idf cosine over an idf table built from ``texts``, the texts it
+    ranks. Texts are read through a term index, keyed by term id: ``index``
+    when given (the scorers of one run share one), else one of its own."""
 
-    def __init__(self, texts: Iterable[str]) -> None:
-        self.idf_table = IdfTable.from_texts(texts)
+    def __init__(self, texts: Iterable[str], index: TermIndex | None = None) -> None:
+        self.index = TermIndex() if index is None else index
+        self.idf_table = IdfTable.from_texts(texts, self.index)
+
+    def _vector(self, n: int) -> tuple[dict[int, float], float]:
+        v = self.idf_table.vector_of(*self.index.terms(n))
+        return v, vector_norm(v.values())
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Each distinct question text is vectorized once per call."""
-        table = self.idf_table
-        questions: dict[str, tuple[dict[str, float], float]] = {}
-        out = []
-        for q, t in pairs:
-            qv = questions.get(q)
-            if qv is None:
-                qv = questions[q] = table.vector_with_norm(q)
-            out.append(cosine(*qv, *table.vector_with_norm(t)))
+        """Each distinct text is vectorized once per call: the questions up
+        front, and each candidate text as the pairs are taken in the order of
+        the candidate texts' numbers. The order is walked from a flat array,
+        not a list, to keep the call's memory small."""
+        qs = self.index.numbers(q for q, _ in pairs)
+        ts = self.index.numbers(t for _, t in pairs)
+        questions = {n: self._vector(n) for n in set(qs)}
+        out = [0.0] * len(pairs)
+        last = None
+        for i in memoryview(np.argsort(ts)):
+            if ts[i] != last:
+                last = ts[i]
+                tv = self._vector(last)
+            out[i] = cosine(*questions[qs[i]], *tv)
         return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,8 +159,13 @@ class TranslationCache:
 
     def __init__(self, path: str | Path, backend: str) -> None:
         self._path = Path(path)
+        # checked before any input is read, so no translation is done for a
+        # cache that cannot take it
+        if self._path.exists() and not self._path.is_file():
+            raise OSError(f"translation cache {self._path}: not a regular file")
+        if not self._path.parent.is_dir():
+            raise OSError(f"translation cache {self._path}: no directory {self._path.parent}")
         self.backend = backend
-        self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], str] = {}
         if self._path.exists():
             for _, line in text_lines(self._path):
@@ -185,22 +189,20 @@ class TranslationCache:
         return len(self._entries)
 
     def get(self, src: str, tgt: str, text: str) -> str | None:
-        with self._lock:
-            return self._entries.get((src, tgt, self.text_key(text)))
+        return self._entries.get((src, tgt, self.text_key(text)))
 
     def store_many(self, src: str, tgt: str, pairs: Iterable[tuple[str, str]]) -> None:
         """Persist (source text, translation) pairs in one atomic append."""
         lines = []
-        with self._lock:
-            for text, translated in pairs:
-                h = self.text_key(text)
-                self._entries[(src, tgt, h)] = translated
-                lines.append(jsonl_line(
-                    {"backend": self.backend, "src": src, "tgt": tgt, "hash": h, "text": translated}
-                ))
-            if lines:
-                with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write("".join(lines))
+        for text, translated in pairs:
+            h = self.text_key(text)
+            self._entries[(src, tgt, h)] = translated
+            lines.append(jsonl_line(
+                {"backend": self.backend, "src": src, "tgt": tgt, "hash": h, "text": translated}
+            ))
+        if lines:
+            with self._path.open("a", encoding="utf-8") as fh:
+                fh.write("".join(lines))
 
 
 class CachingTranslator(Translator):

@@ -746,6 +746,28 @@ def test_an_unwritable_out_exits_2_before_any_input_is_read(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("target", ["missing/c.jsonl", "directory"])
+@pytest.mark.parametrize("name", ["dataset-transfer", "dataset-compose"])
+def test_an_unusable_cache_exits_2_before_any_input_is_read(
+    capsys, monkeypatch, tmp_path, name, target
+):
+    # `--cache missing/c.jsonl` failed only at the first store, after the
+    # first batch was translated, with a bare errno message
+    def no_call(*args, **kwargs):
+        raise AssertionError("an input was read or a text translated")
+
+    monkeypatch.setattr("mlas2.cli.load_dataset", no_call)
+    monkeypatch.setattr("mlas2.translation.MockTranslator.translate_batch", no_call)
+    (tmp_path / "directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = OUT_COMMANDS[name].format(src=tmp_path / "input.jsonl").split()
+    cache = tmp_path / target
+    code, out, err = run(capsys, *argv, "--cache", cache, "--out", tmp_path / "out.jsonl")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mlas2: error: translation cache {cache}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("k_sents", [-1, 0])
 def test_candidates_build_rejects_k_sents_below_1(capsys, tmp_path, k_sents):
     # -1 silently dropped the last candidate and 0 wrote no tasks, both with exit 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     tie_heavy_datasets,
     tie_table,
 )
+from mlas2 import experiment, reranking
 from mlas2.algebra import CompositionParseError
 from mlas2.dataset import filter_answerable, save_dataset
 from mlas2.experiment import (
@@ -32,6 +34,7 @@ from mlas2.experiment import (
 )
 from mlas2.metrics import evaluate, judge
 from mlas2.reranking import LexicalScorer, ScoringError, StaticScorer
+from mlas2.translation import MockTranslator, mock_translate
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +460,24 @@ def test_run_experiment_checks_the_record_target_before_the_work(tmp_path, monke
         run_experiment(config, results_dir=tmp_path / "file")
 
 
+@pytest.mark.parametrize("target", ["missing/c.jsonl", "directory"])
+def test_run_experiment_checks_the_translation_cache_before_any_input_is_read(
+    tmp_path, monkeypatch, target
+):
+    setup_sources(tmp_path)
+    (tmp_path / "directory").mkdir()
+    config = ExperimentConfig.from_json(
+        write_config(tmp_path, translator={"kind": "mock", "cache_path": target})
+    )
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr("mlas2.experiment.load_dataset", no_read)
+    with pytest.raises(OSError, match=f"^translation cache {tmp_path / target}: "):
+        run_experiment(config, results_dir=tmp_path / "runs")
+
+
 def test_run_experiment_loads_the_baseline_before_the_work(tmp_path, monkeypatch):
     setup_sources(tmp_path)
     config = ExperimentConfig.from_json(write_config(tmp_path, baseline_run="missing"))
@@ -536,6 +557,42 @@ def test_run_experiment_materializes_compositions(tmp_path):
     assert record.reports[0].test_set == "En+De"
     assert record.reports[0].num_questions == 2 * len(d.groups)
     assert set(record.fingerprints) == {"ft", "dev", "test:En+De"}
+
+
+def test_a_run_loads_translates_and_tokenizes_each_distinct_thing_once(tmp_path, monkeypatch):
+    d, src = setup_sources(tmp_path)
+    config = ExperimentConfig.from_json(write_config(
+        tmp_path, ft_expr="En+De", dev_expr="En",
+        test_exprs=["En", "En+De", "EnDe+DeEn", "En+EnDe+De+DeEn"],
+    ))
+    expected = run_experiment(config).to_dict()
+    loads, translated, tokenized = Counter(), Counter(), Counter()
+
+    def counting(counter, fn, key):
+        def counted(*args):
+            counter.update(key(*args))
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr("mlas2.experiment.load_dataset", counting(
+        loads, experiment.load_dataset, lambda path, split: [path]
+    ))
+    monkeypatch.setattr(MockTranslator, "translate_batch", counting(
+        translated, MockTranslator.translate_batch, lambda _, r: ((t, r.tgt) for t in r.texts)
+    ))
+    monkeypatch.setattr("mlas2.reranking.tokenize", counting(
+        tokenized, reranking.tokenize, lambda text: [text]
+    ))
+    record = run_experiment(config).to_dict()
+    for r in (expected, record):
+        del r["started"], r["finished"]
+    assert record == expected
+    # train, dev and test name one file
+    assert loads == {str(src): 1}
+    texts = [t.text for g in d.groups for t in (g.question, *g.candidates)]
+    assert translated == {(text, "de"): 1 for text in texts}
+    assert set(tokenized.values()) == {1}
+    assert set(tokenized) == {*texts, *(mock_translate(t, "en", "de") for t in texts)}
 
 
 def test_run_record_round_trip(tmp_path):

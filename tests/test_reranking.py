@@ -18,6 +18,7 @@ from mlas2.reranking import (
     Scorer,
     ScoringError,
     StaticScorer,
+    TermIndex,
     lexical_score,
     linear_head_apply,
     order,
@@ -126,6 +127,64 @@ def test_score_pairs_equals_per_pair_formula(corpus, questions, picks):
     expected = [min(1.0, per_pair_lexical_score(q, t, idf)) for q, t in pairs]
     assert LexicalScorer(corpus).score_pairs(pairs) == expected
     assert [lexical_score(q, t, idf) for q, t in pairs] == expected
+
+
+# tie-heavy unicode: final and capital sigma, a dotted capital I that lowers
+# to two code points, underscores (not token characters), digits and repeats
+_unicode_words = st.sampled_from(
+    ["Σ", "σς", "ΣΑΣ", "İ", "i", "x_y", "_", "42", "4", "ab", "AB", "ab ab", "zq"]
+)
+_unicode_texts = st.lists(_unicode_words, max_size=5).map(" ".join)
+
+
+@st.composite
+def _scored_datasets(draw):
+    """Candidate texts with repeats, and pairs over them whose questions may
+    hold terms no candidate holds."""
+    pool = draw(st.lists(_unicode_texts, min_size=1, max_size=5))
+    texts = draw(st.lists(st.sampled_from(pool), max_size=8))
+    questions = draw(st.lists(_unicode_texts, min_size=1, max_size=3))
+    pair = st.tuples(st.sampled_from(questions), st.sampled_from(pool))
+    pairs = draw(st.lists(pair, max_size=10))
+    return texts, pairs
+
+
+def _text_path(texts, pairs):
+    table = IdfTable.from_texts(texts)
+    return [lexical_score(q, t, table) for q, t in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scored_datasets())
+def test_term_index_scores_equal_the_text_path(dataset):
+    texts, pairs = dataset
+    assert LexicalScorer(texts).score_pairs(pairs) == _text_path(texts, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_scored_datasets(), min_size=2, max_size=4), st.booleans())
+def test_scorers_sharing_one_term_index_equal_the_text_path(datasets, build_first):
+    """Scored in either order, and with every scorer built before any scores
+    (so the index grows after an idf table is built) or each built as it
+    scores."""
+    for ordered in (datasets, datasets[::-1]):
+        index = TermIndex()
+        expected = [_text_path(texts, pairs) for texts, pairs in ordered]
+        if build_first:
+            scorers = [LexicalScorer(texts, index) for texts, _ in ordered]
+            got = [s.score_pairs(pairs) for s, (_, pairs) in zip(scorers, ordered)]
+        else:
+            got = [LexicalScorer(texts, index).score_pairs(pairs) for texts, pairs in ordered]
+        assert got == expected
+
+
+def test_term_index_tokenizes_each_distinct_text_once():
+    index = TermIndex()
+    assert list(index.numbers(["b a b", "c", "b a b"])) == [0, 1, 0]
+    assert index.number("c") == 1
+    assert index.term_ids == {"b": 0, "a": 1, "c": 2}
+    assert [list(x) for x in index.terms(0)] == [[0, 1], [2, 1]]
+    assert index.document_frequencies([0, 1, 0]) == {0: 2, 1: 2, 2: 1}
 
 
 def test_idf_unseen_term_uses_zero_df():
