@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from mlas2.dataset import Dataset, QuestionGroup, validate_language
+from mlas2.dataset import Dataset, QuestionGroup, _copy, _group, validate_language
 from mlas2.translation import TranslationError, TranslationRequest, Translator
 
 
@@ -138,15 +138,14 @@ def transfer(d: Dataset, translator: Translator, target: str) -> Dataset:
     def move(record):
         if record.language == target:
             return record
-        return replace(
+        return _copy(
             record,
             text=next(translated[record.language]),
             provenance=record.provenance + (target,),
         )
 
     groups = tuple(
-        QuestionGroup(move(g.question), tuple(move(c) for c in g.candidates))
-        for g in d.groups
+        _group(move(g.question), tuple(move(c) for c in g.candidates)) for g in d.groups
     )
     return Dataset(f"{d.name}->{target}", d.split, groups)
 
@@ -208,9 +207,8 @@ def concat_many(datasets: list[Dataset]) -> Dataset:
     groups = []
     for k, d in enumerate(datasets):
         for g in d.groups:
-            q = replace(g.question, id=f"{g.question.id}#{k}")
-            cands = tuple(replace(c, id=f"{c.id}#{k}") for c in g.candidates)
-            groups.append(QuestionGroup(q, cands))
+            q = _copy(g.question, id=f"{g.question.id}#{k}")
+            groups.append(_group(q, tuple(_copy(c, id=f"{c.id}#{k}") for c in g.candidates)))
     name = "+".join(d.name for d in datasets)
     return Dataset(name, datasets[0].split, tuple(groups))
 

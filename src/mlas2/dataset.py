@@ -16,7 +16,7 @@ import reprlib
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 SPLITS = ("train", "dev", "test")
 
@@ -89,6 +89,31 @@ class QuestionGroup:
             if cand.id in seen:
                 raise ValueError(f"duplicate candidate id {cand.id!r} in group {self.question.id!r}")
             seen.add(cand.id)
+
+
+# Trusted builders for the algebra's copies of records already checked: a
+# re-keyed id keeps ids unique, a transfer appends a target it validated, and
+# labels never change, so the constructors' checks would only repeat. Fields
+# are set one by one, as the constructors set them, which keeps the instance
+# dicts compact.
+
+_R = TypeVar("_R", Question, AnswerCandidate)
+
+
+def _copy(record: _R, **changes: object) -> _R:
+    """``dataclasses.replace(record, **changes)`` without the checks."""
+    new = object.__new__(type(record))
+    for name in record.__dataclass_fields__:
+        object.__setattr__(new, name, changes[name] if name in changes else getattr(record, name))
+    return new
+
+
+def _group(question: Question, candidates: tuple[AnswerCandidate, ...]) -> QuestionGroup:
+    """``QuestionGroup(question, candidates)`` without the unique-id check."""
+    group = object.__new__(QuestionGroup)
+    object.__setattr__(group, "question", question)
+    object.__setattr__(group, "candidates", candidates)
+    return group
 
 
 @dataclass(frozen=True)
@@ -372,31 +397,54 @@ def load_dataset(path: str | Path, split: str, name: str | None = None) -> Datas
     return Dataset(name if name is not None else p.stem, split, groups)
 
 
-def dataset_records(d: Dataset) -> Iterator[dict]:
-    """Yield the wire-format records of a dataset, question first per group."""
+# The one encoder of dataset records: %-templates over json's own string
+# escaper, so a line equals json.dumps(record, ensure_ascii=False) plus "\n",
+# with sort_keys=True in the canonical form
+_SAVED_Q = '{"kind": "q", "id": %s, "origin_id": %s, "text": %s, "lang": %s, "prov": %s}\n'
+_SAVED_C = (
+    '{"kind": "c", "id": %s, "qid": %s, "origin_id": %s, "text": %s, "label": %d, '
+    '"lang": %s, "prov": %s}\n'
+)
+_CANONICAL_Q = '{"id": %s, "kind": "q", "lang": %s, "origin_id": %s, "prov": %s, "text": %s}\n'
+_CANONICAL_C = (
+    '{"id": %s, "kind": "c", "label": %d, "lang": %s, "origin_id": %s, "prov": %s, '
+    '"qid": %s, "text": %s}\n'
+)
+
+
+def dataset_lines(d: Dataset, sort_keys: bool = False) -> Iterator[str]:
+    """The JSONL lines of a dataset, question first per group: the lines
+    ``save_dataset`` writes, or with ``sort_keys`` the canonical lines
+    ``fingerprint_dataset`` hashes. An unlabeled candidate raises ValueError."""
+    enc = json.encoder.encode_basestring
+    # records share few provenance chains, so each is encoded once per call
+    provs: dict[tuple[str, ...], tuple[str, str]] = {}
+
+    def lang_prov(chain: tuple[str, ...]) -> tuple[str, str]:
+        if chain not in provs:
+            provs[chain] = (enc(chain[-1]), "[" + ", ".join(map(enc, chain)) + "]")
+        return provs[chain]
+
     for group in d.groups:
         q = group.question
-        yield {
-            "kind": "q",
-            "id": q.id,
-            "origin_id": q.origin_id,
-            "text": q.text,
-            "lang": q.language,
-            "prov": list(q.provenance),
-        }
+        qid = enc(q.id)
+        lang, prov = lang_prov(q.provenance)
+        if sort_keys:
+            yield _CANONICAL_Q % (qid, lang, enc(q.origin_id), prov, enc(q.text))
+        else:
+            yield _SAVED_Q % (qid, enc(q.origin_id), enc(q.text), lang, prov)
         for c in group.candidates:
             if c.label is None:
                 raise ValueError(f"candidate {c.id!r} is unlabeled; cannot serialize")
-            yield {
-                "kind": "c",
-                "id": c.id,
-                "qid": q.id,
-                "origin_id": c.origin_id,
-                "text": c.text,
-                "label": c.label,
-                "lang": c.language,
-                "prov": list(c.provenance),
-            }
+            lang, prov = lang_prov(c.provenance)
+            if sort_keys:
+                yield _CANONICAL_C % (
+                    enc(c.id), c.label, lang, enc(c.origin_id), prov, qid, enc(c.text)
+                )
+            else:
+                yield _SAVED_C % (
+                    enc(c.id), qid, enc(c.origin_id), enc(c.text), c.label, lang, prov
+                )
 
 
 def jsonl_line(rec: object) -> str:
@@ -438,15 +486,15 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 def save_dataset(d: Dataset, path: str | Path) -> None:
     """Write a dataset as JSONL; ``load_dataset`` parses it back to an equal value."""
-    write_lines(path, map(jsonl_line, dataset_records(d)))
+    write_lines(path, dataset_lines(d))
 
 
 def fingerprint_dataset(d: Dataset) -> str:
     """SHA-256 of the canonical JSONL serialization (detects any content drift)."""
     h = hashlib.sha256()
-    for rec in dataset_records(d):
-        h.update(json.dumps(rec, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-        h.update(b"\n")
+    # one line per update: buffering lines would only raise peak memory
+    for line in dataset_lines(d, sort_keys=True):
+        h.update(line.encode("utf-8"))
     return h.hexdigest()
 
 

@@ -422,9 +422,10 @@ def run_experiment(
     trainer: Trainer | None = None,
     results_dir: str | Path | None = None,
 ) -> RunRecord:
-    """Materialize the configured compositions, run the early-stopping loop,
-    evaluate the best scorer on every test composition, compute deltas against
-    the named baseline run, and persist the run record.
+    """Materialize the fine-tuning and dev compositions, run the
+    early-stopping loop, then build and evaluate each test composition in
+    turn with the best scorer, compute deltas against the named baseline run,
+    and persist the run record.
 
     Without an explicit trainer, a constant trainer wraps the configured
     scorer backend (real fine-tuning lives behind the Trainer interface).
@@ -465,13 +466,12 @@ def run_experiment(
         source, views = sources[path]
         return replace(materialize(parse_composition(expr), source, translator, views), split=split)
 
-    ft_data = compose(config.ft_expr, config.source_train, "train")
+    # the fine-tuning composition is only fingerprinted, so it is dropped at once
+    fingerprints = {
+        "ft": fingerprint_dataset(compose(config.ft_expr, config.source_train, "train"))
+    }
     dev_data = compose(config.dev_expr, config.source_dev, "dev")
-    test_data = [(expr, compose(expr, config.source_test, "test")) for expr in config.test_exprs]
-
-    fingerprints = {"ft": fingerprint_dataset(ft_data), "dev": fingerprint_dataset(dev_data)}
-    for expr, data in test_data:
-        fingerprints[f"test:{expr}"] = fingerprint_dataset(data)
+    fingerprints["dev"] = fingerprint_dataset(dev_data)
 
     # the run's lexical scorers tokenize each distinct text once, between them
     index = TermIndex()
@@ -498,10 +498,15 @@ def run_experiment(
 
     stop = early_stop_loop(trainer, evaluate_dev, hp.max_iterations)
 
-    reports = []
-    for expr, data in test_data:
+    # each test composition is built, fingerprinted and evaluated in turn, and
+    # released before the next is built, so one at a time is alive
+    def report(expr: str) -> MetricsReport:
+        data = compose(expr, config.source_test, "test")
+        fingerprints[f"test:{expr}"] = fingerprint_dataset(data)
         scorer = scorer_for(data) if rebind_per_test else stop.best_scorer
-        reports.append(evaluate_dataset(data, scorer, test_set=expr))
+        return evaluate_dataset(data, scorer, test_set=expr)
+
+    reports = [report(expr) for expr in config.test_exprs]
 
     deltas: list[DeltaReport] = []
     if config.baseline_run:

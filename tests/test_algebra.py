@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,17 @@ from mlas2.algebra import (
     render_composition,
     transfer,
 )
-from mlas2.dataset import dataset_records, validate_dataset
+from mlas2 import dataset
+from mlas2.dataset import (
+    AnswerCandidate,
+    Dataset,
+    Question,
+    QuestionGroup,
+    dataset_lines,
+    load_dataset,
+    save_dataset,
+    validate_dataset,
+)
 from mlas2.translation import MockTranslator
 
 from test_translation import CountingTranslator
@@ -235,7 +247,7 @@ def test_composed_candidates_serialize_with_their_groups_question_id(tiny_datase
     d_de = transfer(tiny_dataset, MockTranslator(), "de")
     for out in (concat(tiny_dataset, d_de), mix(tiny_dataset, d_de), mix(d_de, tiny_dataset)):
         qid = None
-        for rec in dataset_records(out):
+        for rec in map(json.loads, dataset_lines(out)):
             if rec["kind"] == "q":
                 qid = rec["id"]
             else:
@@ -315,3 +327,85 @@ def test_materialize_caches_transfers(tiny_dataset):
     materialize(parse_composition("En+EnDe+De+DeEn"), tiny_dataset, counting)
     # "de" is needed three times but translated once; "en" is the identity
     assert counting.batch_calls == 1
+
+
+# ---------------------------------------------------------------------------
+# trusted copies
+# ---------------------------------------------------------------------------
+
+_LANGS = ["en", "de", "fr"]
+# ids over a small alphabet holding "#", so a re-keyed id may look like another id
+_IDS = st.text(st.sampled_from("ab#0"), min_size=1, max_size=4)
+
+
+@st.composite
+def sources(draw):
+    """A valid dataset (globally unique ids, origin id = id) whose records
+    are in random languages with random provenance chains."""
+    hops = st.lists(st.sampled_from(_LANGS), min_size=1, max_size=3).map(tuple)
+    texts = st.text(st.sampled_from("xy é\t"), max_size=8)
+    qids = draw(st.lists(_IDS, max_size=4, unique=True))
+    cids = iter(draw(st.lists(_IDS, min_size=3 * len(qids), max_size=3 * len(qids), unique=True)))
+    groups = []
+    for qid in qids:
+        cands = tuple(
+            AnswerCandidate(cid, cid, draw(texts), draw(st.sampled_from([0, 1])), draw(hops))
+            for cid in [next(cids) for _ in range(draw(st.integers(0, 3)))]
+        )
+        groups.append(QuestionGroup(Question(qid, qid, draw(texts), draw(hops)), cands))
+    return Dataset("En", "test", tuple(groups))
+
+
+def assert_as_if_constructed(out):
+    """Every record and group of ``out`` equals what its public constructor
+    builds from the same fields, and the dataset-wide invariants hold."""
+    assert validate_dataset(out) == []
+    for g in out.groups:
+        q = g.question
+        assert type(q) is Question
+        assert Question(q.id, q.origin_id, q.text, q.provenance) == q
+        for c in g.candidates:
+            assert type(c) is AnswerCandidate
+            assert AnswerCandidate(c.id, c.origin_id, c.text, c.label, c.provenance) == c
+        ids = [c.id for c in g.candidates]
+        assert len(set(ids)) == len(ids)
+        assert QuestionGroup(q, g.candidates) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=sources(),
+    target=st.sampled_from(_LANGS),
+    terms=st.lists(st.tuples(*[st.sampled_from(_LANGS)] * 2), min_size=1, max_size=4),
+)
+def test_algebra_outputs_equal_their_checked_construction(d, target, terms):
+    t = transfer(d, MockTranslator(), target)
+    plan = CompositionExpr(tuple(CompositionTerm(q, c) for q, c in terms))
+    for out in (
+        t, mix(d, t), mix(t, d), concat_many([d, t, d]), materialize(plan, d, MockTranslator())
+    ):
+        assert_as_if_constructed(out)
+
+
+def test_materialize_copies_records_without_rechecking_them(tmp_path, monkeypatch):
+    # the views are memoized, so the composition is all copies of records
+    # already checked when the source was loaded: none is checked again
+    path = tmp_path / "source.jsonl"
+    save_dataset(make_synthetic_dataset(num_questions=5, cands_per_question=3), path)
+    source = load_dataset(path, "test")
+    plan = parse_composition("En+EnDe+De+DeEn")
+    views = {}
+    materialize(plan, source, MockTranslator(), views)
+    checked = []
+    original = dataset._Text.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(dataset._Text, "__post_init__", counting)
+    out = materialize(plan, source, MockTranslator(), views)
+    assert len(checked) == 0
+    assert out.num_candidates() == 4 * 15
+    Question("q", "q", "text", ("en",))
+    assert len(checked) == 1  # the count sees a public construction

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,9 +13,10 @@ from mlas2.dataset import (
     DatasetFormatError,
     Question,
     QuestionGroup,
-    dataset_records,
+    dataset_lines,
     filter_answerable,
     fingerprint_dataset,
+    jsonl_line,
     load_dataset,
     load_questions,
     read_table,
@@ -231,6 +233,22 @@ def test_load_rejects_unknown_kind_and_bad_label(tmp_path):
         load_dataset(path, "train")
 
 
+def wire_records(d):
+    """The wire-format records of a dataset as dicts, question first per
+    group: the oracle that the package's record encoder is held to."""
+    for group in d.groups:
+        q = group.question
+        yield {
+            "kind": "q", "id": q.id, "origin_id": q.origin_id, "text": q.text,
+            "lang": q.language, "prov": list(q.provenance),
+        }
+        for c in group.candidates:
+            yield {
+                "kind": "c", "id": c.id, "qid": q.id, "origin_id": c.origin_id, "text": c.text,
+                "label": c.label, "lang": c.language, "prov": list(c.provenance),
+            }
+
+
 def test_save_then_load_round_trip(tmp_path, tiny_dataset):
     path = tmp_path / "out.jsonl"
     save_dataset(tiny_dataset, path)
@@ -242,7 +260,7 @@ def test_save_records_match_modulo_field_order(tmp_path, tiny_dataset):
     path = tmp_path / "out.jsonl"
     save_dataset(tiny_dataset, path)
     written = [json.loads(line) for line in path.read_text().splitlines()]
-    assert written == list(dataset_records(tiny_dataset))
+    assert written == list(wire_records(tiny_dataset))
 
 
 def test_save_empty_dataset(tmp_path):
@@ -438,3 +456,44 @@ def test_stats_totals(d):
     s = stats(d)
     assert s.num_correct + s.num_incorrect == d.num_candidates()
     assert s.num_questions == len(d.groups)
+
+
+# JSON's hard cases: quote, backslash, control characters, DEL, the line
+# separators JavaScript rejects, non-BMP characters, and plain ones
+_HARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029",
+                         "\U0001f600", "\U0010ffff", "é", "a", "/"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def hard_datasets(draw):
+    hops = st.lists(st.sampled_from(["en", "de", "fr", "zh"]), min_size=1, max_size=4).map(tuple)
+    groups = []
+    for qid in draw(st.lists(_HARD_TEXT, max_size=4, unique=True)):
+        q = Question(qid, draw(_HARD_TEXT), draw(_HARD_TEXT), draw(hops))
+        cands = tuple(
+            AnswerCandidate(cid, draw(_HARD_TEXT), draw(_HARD_TEXT), draw(st.sampled_from([0, 1])),
+                            draw(hops))
+            for cid in draw(st.lists(_HARD_TEXT, max_size=4, unique=True))
+        )
+        groups.append(QuestionGroup(q, cands))
+    return Dataset("D", "test", tuple(groups))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hard_datasets())
+def test_record_encoder_equals_json_dumps(tmp_path_factory, d):
+    records = list(wire_records(d))
+    canonical = [json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records]
+    assert list(dataset_lines(d, sort_keys=True)) == canonical
+    assert list(dataset_lines(d)) == [jsonl_line(r) for r in records]
+    # the fingerprint hashes the canonical lines, and a save writes the others
+    assert fingerprint_dataset(d) == hashlib.sha256("".join(canonical).encode("utf-8")).hexdigest()
+    path = tmp_path_factory.mktemp("enc") / "d.jsonl"
+    save_dataset(d, path)
+    assert path.read_bytes() == "".join(map(jsonl_line, records)).encode("utf-8")

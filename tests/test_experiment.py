@@ -1,4 +1,5 @@
 import json
+import weakref
 from collections import Counter
 from dataclasses import asdict
 
@@ -593,6 +594,38 @@ def test_a_run_loads_translates_and_tokenizes_each_distinct_thing_once(tmp_path,
     assert translated == {(text, "de"): 1 for text in texts}
     assert set(tokenized.values()) == {1}
     assert set(tokenized) == {*texts, *(mock_translate(t, "en", "de") for t in texts)}
+
+
+def test_a_run_keeps_one_test_composition_alive_at_a_time(tmp_path, monkeypatch):
+    setup_sources(tmp_path)
+    exprs = ["En", "En+De", "EnDe+DeEn", "En+EnDe+De+DeEn"]
+    config = ExperimentConfig.from_json(
+        write_config(tmp_path, ft_expr="En+De", dev_expr="En", test_exprs=exprs)
+    )
+    expected = run_experiment(config).to_dict()
+    # every composition a run builds is fingerprinted: ft, dev, then each test
+    built = []
+    alive = []
+    fingerprint_dataset, evaluate_dataset = experiment.fingerprint_dataset, experiment.evaluate_dataset
+
+    def fingerprint(data):
+        built.append(weakref.ref(data))
+        return fingerprint_dataset(data)
+
+    def evaluate(data, scorer, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return evaluate_dataset(data, scorer, **kwargs)
+
+    monkeypatch.setattr("mlas2.experiment.fingerprint_dataset", fingerprint)
+    monkeypatch.setattr("mlas2.experiment.evaluate_dataset", evaluate)
+    record = run_experiment(config).to_dict()
+    for r in (expected, record):
+        del r["started"], r["finished"]
+    assert record == expected
+    assert list(record["fingerprints"]) == ["ft", "dev", *(f"test:{e}" for e in exprs)]
+    # the dev set is scored once, with only itself alive; each test composition
+    # is scored with the dev set and itself alive, the ones before it released
+    assert alive == [[False, True]] + [[False, True, *[False] * i, True] for i in range(4)]
 
 
 def test_run_record_round_trip(tmp_path):
