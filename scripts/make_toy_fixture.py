@@ -119,7 +119,6 @@ def main() -> None:
 
     corpus = load_corpus(corpus_path)
     questions = load_questions(questions_path)
-    sentence_idf = corpus.sentence_idf
 
     answers = {qid: subs for qid, _, subs in QUESTIONS}
     gold_path = FIXTURES / "gold_labels.jsonl"
@@ -148,6 +147,7 @@ def main() -> None:
         ]
         check_gaps(scored, f"retrieval for {question.id}")
 
+    sentence_idf = _sentence_idf(corpus)
     seln_scores = {
         question.id: [
             (c.id, lexical_score(question.text, c.text, sentence_idf), c.text)
@@ -225,6 +225,13 @@ def _doc_idf(corpus):
     from mlas2.reranking import IdfTable
 
     return IdfTable.from_texts(doc.text for doc in corpus.documents)
+
+
+def _sentence_idf(corpus):
+    from mlas2.candidates import split_sentences
+    from mlas2.reranking import IdfTable
+
+    return IdfTable.from_texts(s for doc in corpus.documents for s in split_sentences(doc.text))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from mlas2.dataset import (
 )
 from mlas2.reranking import (
     IdfTable,
+    TermIndex,
     TextPairScorer,
     cosine,
     doc_norm,
@@ -51,18 +52,17 @@ class DocumentCorpus:
     """Immutable index over a document collection, built in one pass that
     tokenizes each sentence once.
 
-    Documents are numbered in id order. The postings are compact: for each
-    term id of ``idf_table``, the numbers of the documents that hold the
-    term and its frequency in each, as two integer columns in document order
-    (so in id order). ``idf_table`` weighs terms by these document
-    frequencies, and each document's tf-idf norm is kept for cosine
-    retrieval.
-
-    The same pass builds a forward index of the corpus sentences, numbered
-    in document order: each sentence's span in its document, its term ids
-    and tf-idf weights in first-occurrence order, and its norm. The weights
-    come from ``sentence_idf``, the idf table over every corpus sentence,
+    The sentences, numbered in document order, are the entries of one
+    ``TermIndex``, whose ``term_ids`` key both idf tables and the postings.
+    Each sentence keeps its span in its document and its tf-idf weights and
+    norm over ``sentence_idf``, the idf table over every corpus sentence,
     which ``score_sentences`` scores against.
+
+    Documents are numbered in id order. The postings are compact: for each
+    term id, the numbers of the documents that hold the term and its
+    frequency in each, as two integer columns in document order (so in id
+    order). ``idf_table`` weighs terms by these document frequencies, and
+    each document's tf-idf norm is kept for cosine retrieval.
     """
 
     def __init__(self, documents: Sequence[Document]) -> None:
@@ -76,55 +76,49 @@ class DocumentCorpus:
         self._docs = tuple(sorted(docs, key=lambda doc: doc.id))
         self._numbers = {doc.id: n for n, doc in enumerate(self._docs)}
 
-        ids: dict[str, int] = {}  # term -> id, in first-seen order
+        # a query is never numbered through the index: new ids would lie
+        # past the postings, and the corpus would grow with its queries
+        index = self._index = TermIndex()
+        self.term_ids = index.term_ids
         doc_terms, doc_tfs, doc_first = array("i"), array("i"), array("q", [0])
-        sent_terms, sent_tfs = array("i"), array("i")
         self._sentence_first = array("q", [0])  # per document, then the total
-        self._term_first = array("q", [0])  # per sentence, then the total
         self._starts, self._ends = array("q"), array("q")  # per sentence
         for doc in self._docs:
             doc_tokens: list[str] = []
-            sentences: list[Counter[str]] = []
             for start, end in sentence_spans(doc.text):
                 tokens = tokenize(doc.text[start:end])
                 doc_tokens += tokens
-                sentences.append(Counter(tokens))
+                index.add(tokens)
                 self._starts.append(start)
                 self._ends.append(end)
             # only whitespace lies between sentences, so their tokens are
-            # exactly the document's
+            # exactly the document's, all numbered by now
             counts = Counter(doc_tokens)
-            for term in counts:
-                if term not in ids:
-                    ids[term] = len(ids)
-            doc_terms.extend(map(ids.__getitem__, counts))
+            doc_terms.extend(map(self.term_ids.__getitem__, counts))
             doc_tfs.extend(counts.values())
             doc_first.append(len(doc_terms))
-            for sentence in sentences:
-                sent_terms.extend(map(ids.__getitem__, sentence))
-                sent_tfs.extend(sentence.values())
-                self._term_first.append(len(sent_terms))
-            self._sentence_first.append(len(self._term_first) - 1)
+            self._sentence_first.append(len(self._starts))
+        self._index_documents(doc_terms, doc_tfs, doc_first)
 
-        terms = np.asarray(doc_terms)
-        by_term = np.argsort(terms, kind="stable")
-        doc_df = np.bincount(terms, minlength=len(ids))
-        self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
-        self._post_docs = np.repeat(np.arange(len(docs)), np.diff(doc_first))[by_term]
-        self._post_tfs = np.asarray(doc_tfs)[by_term]
-        self.idf_table = IdfTable(dict(zip(ids, doc_df.tolist())), len(docs))
-        weights = self.idf_table.weights(doc_terms, doc_tfs)
-        self._norms = np.array(
-            [doc_norm(weights[a:b].tolist()) for a, b in pairwise(doc_first)]
-        )
-
-        sent_df = np.bincount(np.asarray(sent_terms), minlength=len(ids))
-        self.sentence_idf = IdfTable(dict(zip(ids, sent_df.tolist())), len(self._term_first) - 1)
-        self._terms = sent_terms
-        self._weights = array("d", self.sentence_idf.weights(sent_terms, sent_tfs).tobytes())
+        sentences = range(len(self._starts))
+        self.sentence_idf = IdfTable(index.document_frequencies(sentences), len(sentences))
+        self._weights = array("d", self.sentence_idf.weights(index._terms, index._counts).tobytes())
         self._sentence_norms = array(
-            "d", (vector_norm(self._weights[a:b]) for a, b in pairwise(self._term_first))
+            "d", (vector_norm(self._weights[a:b]) for a, b in pairwise(index._first))
         )
+
+    def _index_documents(self, terms: array, tfs: array, first: array) -> None:
+        """The postings, ``idf_table`` and document norms from each document's
+        term ids and counts, laid out as a ``TermIndex``'s; the sort's
+        temporaries are freed on return."""
+        by_term = np.argsort(terms, kind="stable")
+        doc_df = np.bincount(terms, minlength=len(self.term_ids))
+        self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
+        self._post_docs = np.repeat(np.arange(len(self._docs)), np.diff(first))[by_term]
+        self._post_tfs = np.asarray(tfs)[by_term]
+        self.idf_table = IdfTable(dict(enumerate(doc_df.tolist())), len(self._docs))
+        weights = self.idf_table.weights(terms, tfs)
+        self._norms = np.array([doc_norm(weights[a:b].tolist()) for a, b in pairwise(first)])
 
     @property
     def num_docs(self) -> int:
@@ -132,7 +126,7 @@ class DocumentCorpus:
 
     def postings(self, term: str) -> list[tuple[str, int]]:
         """(doc id, term frequency) pairs of a term, in doc id order."""
-        t = self.idf_table.term_ids.get(term)
+        t = self.term_ids.get(term)
         if t is None:
             return []
         span = slice(self._post_first[t], self._post_first[t + 1])
@@ -148,22 +142,27 @@ class DocumentCorpus:
         doc = self._docs[bisect_right(self._sentence_first, number) - 1]
         return doc.text[self._starts[number] : self._ends[number]]
 
+    def query_vector(self, query: str, table: IdfTable) -> tuple[dict, float]:
+        """The query's tf-idf vector over one of the corpus's tables and its
+        norm. A term the corpus lacks keeps its text as its key: it matches
+        no term id but still counts toward the vector's length."""
+        counts = Counter(tokenize(query))
+        ids = self.term_ids
+        v = table.vector_of([ids.get(term, term) for term in counts], counts.values())
+        return v, vector_norm(v.values())
+
     def score_sentences(self, query: str, numbers: Iterable[int]) -> list[float]:
         """Lexical scores of ``query`` against the numbered sentences: what a
         ``LexicalScorer`` over every corpus sentence gives for their texts,
-        read from the forward index instead of re-tokenizing them."""
-        table = self.sentence_idf
-        weights, q_norm = table.vector_with_norm(query)
-        term_ids = table.term_ids
-        # a term no sentence holds keeps its text as its key: it matches no
-        # sentence term but still counts toward the vector's length
-        q = {term_ids.get(term, term): w for term, w in weights.items()}
-        terms, first, norms = self._terms, self._term_first, self._sentence_norms
+        read from the precomputed weights instead of re-tokenizing them."""
+        q, q_norm = self.query_vector(query, self.sentence_idf)
+        first, terms = self._index._first, self._index._terms
+        weights, norms = self._weights, self._sentence_norms
         return [
             cosine(
                 q,
                 q_norm,
-                dict(zip(terms[first[j] : first[j + 1]], self._weights[first[j] : first[j + 1]])),
+                dict(zip(terms[first[j] : first[j + 1]], weights[first[j] : first[j + 1]])),
                 norms[j],
             )
             for j in numbers
@@ -184,19 +183,18 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     table = corpus.idf_table
-    q_weights, q_norm = table.vector_with_norm(query)
+    q_weights, q_norm = corpus.query_vector(query, table)
     if not q_weights:
         raise ValueError("query has no tokens after tokenization")
 
-    # dot products over postings only, added per document in query-term
-    # order; every other document scores 0
+    # dot products over the query's term ids' postings only, added per
+    # document in query-term order; every other document scores 0
     dots = np.zeros(corpus.num_docs)
-    first, term_ids = corpus._post_first, table.term_ids
-    for term, qw in q_weights.items():
-        t = term_ids.get(term)
-        if t is not None:
+    first = corpus._post_first
+    for t, qw in q_weights.items():
+        if isinstance(t, int):
             span = slice(first[t], first[t + 1])
-            dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(term)
+            dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(t)
 
     # every weight is at least 1, so a document matches exactly when its dot
     # is nonzero; a stable sort keeps tied documents in id order

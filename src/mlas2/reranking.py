@@ -48,11 +48,11 @@ def tokenize(text: str) -> list[str]:
 
 
 class TermIndex:
-    """Each distinct text tokenized once, as term ids and counts in
-    first-occurrence order, stored flat: text ``n`` holds the entries from
-    ``_first[n]`` up to ``_first[n + 1]``. Terms and texts are numbered in
-    first-seen order. An index lives as long as its owner: one run, or one
-    scorer."""
+    """Texts as term ids and counts in first-occurrence order, stored flat:
+    text ``n`` holds the entries from ``_first[n]`` up to ``_first[n + 1]``.
+    Terms and texts are numbered in first-seen order. ``number`` tokenizes
+    each distinct text once; ``add`` appends a text it is given as tokens.
+    An index lives as long as its owner: one run, one scorer or one corpus."""
 
     def __init__(self) -> None:
         self.term_ids: dict[str, int] = {}
@@ -61,18 +61,22 @@ class TermIndex:
         self._terms = array("i")
         self._counts = array("i")
 
+    def add(self, tokens: Iterable[str]) -> int:
+        """Append a text given by its tokens, not keyed by its text; its number."""
+        counts = Counter(tokens)
+        ids = self.term_ids
+        for term in counts:
+            ids.setdefault(term, len(ids))
+        self._terms.extend(map(ids.__getitem__, counts))
+        self._counts.extend(counts.values())
+        self._first.append(len(self._terms))
+        return len(self._first) - 2
+
     def number(self, text: str) -> int:
         """The text's number; a text seen for the first time is tokenized."""
         n = self._numbers.get(text)
         if n is None:
-            counts = Counter(tokenize(text))
-            ids = self.term_ids
-            for term in counts:
-                ids.setdefault(term, len(ids))
-            self._terms.extend(map(ids.__getitem__, counts))
-            self._counts.extend(counts.values())
-            self._first.append(len(self._terms))
-            n = self._numbers[text] = len(self._numbers)
+            n = self._numbers[text] = self.add(tokenize(text))
         return n
 
     def numbers(self, texts: Iterable[str]) -> array:
@@ -99,11 +103,11 @@ class IdfTable:
     """Smoothed inverse document frequencies over a candidate corpus:
     idf(w) = ln((N+1)/(df(w)+1)) + 1, computed once per term at construction;
     every unseen term shares the df = 0 value. Terms are keyed by their text
-    or, in a table built through a ``TermIndex``, by their term ids.
+    or, in a table over a ``TermIndex`` (a scorer's or a corpus's), by id.
 
     This is the package's one tf-idf core: the lexical scorer, the mock
     scorer server, document retrieval and the corpus sentence index all
-    weigh terms through it, the index by term id.
+    weigh terms through it.
     """
 
     def __init__(self, df: dict, num_docs: int) -> None:
@@ -132,12 +136,6 @@ class IdfTable:
         return self._idf.get(term, self._unseen_idf)
 
     @cached_property
-    def term_ids(self) -> dict[str, int]:
-        """Each term's number, in ``df`` order. A corpus index keys its term
-        arrays by these numbers and weighs them with ``weights``."""
-        return {term: i for i, term in enumerate(self.df)}
-
-    @cached_property
     def _idf_by_id(self) -> np.ndarray:
         return np.fromiter(self._idf.values(), dtype=float, count=len(self._idf))
 
@@ -152,14 +150,9 @@ class IdfTable:
         idf, unseen = self._idf, self._unseen_idf
         return {term: tf * idf.get(term, unseen) for term, tf in zip(terms, tfs)}
 
-    def vector_with_norm(self, text: str) -> tuple[dict[str, float], float]:
-        """A text's tf-idf vector and its Euclidean norm."""
-        v = self.vector(text)
-        return v, vector_norm(v.values())
-
     def weights(self, term_ids: Sequence[int], tfs: Sequence[int]) -> np.ndarray:
-        """The tf-idf weights ``vector`` gives (tf times idf, elementwise) for
-        terms given by their ``term_ids`` and counts."""
+        """The tf-idf weights ``vector_of`` gives (tf times idf, elementwise),
+        in a table keyed by every term id from 0, in order."""
         return np.asarray(tfs) * self._idf_by_id[np.asarray(term_ids)]
 
 
@@ -195,7 +188,8 @@ def cosine(u: dict, nu: float, v: dict, nv: float) -> float:
 
 def lexical_score(q_text: str, t_text: str, idf_table: IdfTable) -> float:
     """Tf-idf cosine between question and candidate; always in [0, 1]."""
-    return cosine(*idf_table.vector_with_norm(q_text), *idf_table.vector_with_norm(t_text))
+    q, t = idf_table.vector(q_text), idf_table.vector(t_text)
+    return cosine(q, vector_norm(q.values()), t, vector_norm(t.values()))
 
 
 # ---------------------------------------------------------------------------

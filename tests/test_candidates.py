@@ -296,6 +296,19 @@ def test_select_respects_k_docs():
     assert len({c.id.split(":")[0] for c in cands}) == 1
 
 
+def test_corpus_is_unchanged_by_its_queries():
+    # query terms are looked up in the corpus's term ids, never added to them
+    corpus = DocumentCorpus([Document(**d) for d in TOY_DOCS])
+    num_terms = len(corpus.term_ids)
+    q = make_question("q1", "what do cats chase")
+    first = select_candidates(q, corpus, k_docs=2, k_sents=4)
+    unseen = select_candidates(make_question("q2", "zebra quokka zebra"), corpus, k_docs=2, k_sents=4)
+    assert [c.id for c in unseen] == ["d1:0", "d1:1", "d1:2", "d2:0"]  # all zero, in id order
+    assert len(corpus.term_ids) == num_terms
+    assert select_candidates(q, corpus, k_docs=2, k_sents=4) == first
+    assert len(corpus.term_ids) == num_terms
+
+
 # ---------------------------------------------------------------------------
 # the one-pass index against text-based oracles
 # ---------------------------------------------------------------------------
@@ -370,7 +383,10 @@ def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
 def test_sentence_table_equals_idf_over_split_sentences(texts):
     corpus = _unicode_corpus(texts)
     expected = IdfTable.from_texts(s for t in texts for s in split_sentences(t))
-    assert corpus.sentence_idf.df == expected.df
+    # keyed by every term id, in order, since its weights read idf by position
+    assert list(corpus.sentence_idf.df) == list(range(len(corpus.term_ids)))
+    df = corpus.sentence_idf.df
+    assert {term: df[t] for term, t in corpus.term_ids.items()} == expected.df
     assert corpus.sentence_idf.num_docs == expected.num_docs
     for doc in corpus.documents:
         got = [corpus.sentence_text(j) for j in corpus.sentences(doc.id)]
@@ -386,9 +402,11 @@ def test_postings_and_norms_equal_whole_document_counts(texts, query):
     for term in {t for c in counts.values() for t in c} | {"zzz"}:
         expected = sorted((doc_id, c[term]) for doc_id, c in counts.items() if term in c)
         assert corpus.postings(term) == expected
-        assert table.df.get(term, 0) == len(expected)
+        assert table.df.get(corpus.term_ids.get(term), 0) == len(expected)
     for doc_id, c in counts.items():
-        norm = math.sqrt(sum([(tf * table.idf(term)) ** 2 for term, tf in c.items()]))
+        norm = math.sqrt(
+            sum([(tf * table.idf(corpus.term_ids[term])) ** 2 for term, tf in c.items()])
+        )
         assert corpus._norms[corpus._numbers[doc_id]] == norm
     if tokenize(query):
         for k in (1, 2, len(texts) + 3):

@@ -185,6 +185,12 @@ def test_term_index_tokenizes_each_distinct_text_once():
     assert index.term_ids == {"b": 0, "a": 1, "c": 2}
     assert [list(x) for x in index.terms(0)] == [[0, 1], [2, 1]]
     assert index.document_frequencies([0, 1, 0]) == {0: 2, 1: 2, 2: 1}
+    # a text added by its tokens takes the next number, but is not keyed by
+    # its text, so numbering that text appends it again
+    assert index.add(["c", "d", "c"]) == 2
+    assert [list(x) for x in index.terms(2)] == [[2, 3], [2, 1]]
+    assert index.number("c d c") == 3
+    assert index.term_ids == {"b": 0, "a": 1, "c": 2, "d": 3}
 
 
 def test_idf_unseen_term_uses_zero_df():

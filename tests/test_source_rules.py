@@ -46,6 +46,23 @@ def test_no_coercion_of_record_fields():
     assert found == []
 
 
+def test_toy_oracle_imports_no_package_module():
+    # scripts/toy_expected.py is an independent oracle: it shares no code
+    # with the package it checks
+    tree = ast.parse((SCRIPTS_DIR / "toy_expected.py").read_text(encoding="utf-8"))
+    found = [
+        f"toy_expected.py:{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name.split(".")[0] == "mlas2"
+    ]
+    assert found == []
+
+
 def _writes_a_file(node: ast.Call) -> str | None:
     """How ``node`` writes a file itself (``open`` with a write mode,
     ``write_text``, ``write_bytes`` or ``json.dump``), or None."""
