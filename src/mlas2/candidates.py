@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from mlas2.dataset import (
 )
 from mlas2.reranking import (
     IdfTable,
+    ScoringError,
     TermIndex,
     TextPairScorer,
-    cosine,
     doc_norm,
     order,
     tokenize,
@@ -100,12 +100,13 @@ class DocumentCorpus:
             self._sentence_first.append(len(self._starts))
         self._index_documents(doc_terms, doc_tfs, doc_first)
 
-        sentences = range(len(self._starts))
-        self.sentence_idf = IdfTable(index.document_frequencies(sentences), len(sentences))
-        self._weights = array("d", self.sentence_idf.weights(index._terms, index._counts).tobytes())
-        self._sentence_norms = array(
-            "d", (vector_norm(self._weights[a:b]) for a, b in pairwise(index._first))
-        )
+        # a sentence holds each of its terms once, so counting the term
+        # column counts the sentences that hold each term
+        terms = np.asarray(index._terms)
+        df = np.bincount(terms, minlength=len(self.term_ids))
+        self.sentence_idf = IdfTable(dict(enumerate(df.tolist())), len(self._starts))
+        self._weights = self.sentence_idf.weights(terms, index._counts)
+        self._sentence_norms = _norms(self._weights, np.asarray(index._first))
 
     def _index_documents(self, terms: array, tfs: array, first: array) -> None:
         """The postings, ``idf_table`` and document norms from each document's
@@ -151,22 +152,67 @@ class DocumentCorpus:
         v = table.vector_of([ids.get(term, term) for term in counts], counts.values())
         return v, vector_norm(v.values())
 
-    def score_sentences(self, query: str, numbers: Iterable[int]) -> list[float]:
+    def score_sentences(self, query: str, numbers: Sequence[int]) -> list[float]:
         """Lexical scores of ``query`` against the numbered sentences: what a
         ``LexicalScorer`` over every corpus sentence gives for their texts,
-        read from the precomputed weights instead of re-tokenizing them."""
+        read from the precomputed weights instead of re-tokenizing them.
+
+        ``cosine``'s arithmetic for the whole pool at once: a sentence's
+        products sit in the order of the shorter vector (the query on a tie)
+        and are added left to right, a term the other vector lacks adding an
+        exact 0.0 to a sum that is never negative."""
         q, q_norm = self.query_vector(query, self.sentence_idf)
-        first, terms = self._index._first, self._index._terms
-        weights, norms = self._weights, self._sentence_norms
-        return [
-            cosine(
-                q,
-                q_norm,
-                dict(zip(terms[first[j] : first[j + 1]], weights[first[j] : first[j + 1]])),
-                norms[j],
-            )
-            for j in numbers
-        ]
+        numbers = np.asarray(numbers, dtype=np.intp)
+        first = np.asarray(self._index._first)
+        starts, stops = first[numbers], first[numbers + 1]
+        lengths = stops - starts
+        entries = _concat_ranges(starts, stops)
+        # each entry's place in the query, -1 (weight 0.0) for a term it lacks
+        place = np.full(len(self.term_ids), -1)
+        for i, t in enumerate(q):
+            if isinstance(t, int):
+                place[t] = i
+        in_query = place[np.asarray(self._index._terms)[entries]]
+        products = self._weights[entries] * np.array([*q.values(), 0.0])[in_query]
+
+        rows = np.repeat(np.arange(len(numbers)), lengths)
+        by_sentence = np.repeat(lengths < len(q), lengths)
+        cols = np.where(by_sentence, entries - np.repeat(starts, lengths), in_query)
+        kept = cols >= 0
+        table = np.zeros((len(q), len(numbers)))
+        table[cols[kept], rows[kept]] = products[kept]
+        dots = np.zeros(len(numbers))
+        for column in table:
+            dots += column
+
+        # every nonzero norm is at least 1, so the product is 0 only when a
+        # norm is, where cosine gives 0.0
+        norms = q_norm * self._sentence_norms[numbers]
+        scores = np.zeros(len(numbers))
+        scored = norms != 0.0
+        scores[scored] = np.minimum(1.0, dots[scored] / norms[scored])
+        return scores.tolist()
+
+
+def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of each range ``[starts[i], stops[i])``, concatenated."""
+    lengths = stops - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _norms(weights: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """``vector_norm`` of each text's weights ``weights[first[n]:first[n + 1]]``:
+    the squares are added position by position, so each text's sum runs
+    left to right as ``vector_norm``'s does."""
+    starts, lengths = first[:-1], np.diff(first)
+    squares = weights * weights
+    sums = np.zeros(len(lengths))
+    rows, p = np.flatnonzero(lengths), 0
+    while len(rows):
+        sums[rows] += squares[starts[rows] + p]
+        p += 1
+        rows = rows[lengths[rows] > p]
+    return np.sqrt(sums)
 
 
 def load_corpus(path: str | Path) -> DocumentCorpus:
@@ -260,25 +306,42 @@ def select_candidates(
     """
     if k_sents < 1:
         raise ValueError(f"k_sents must be >= 1, got {k_sents}")
-    pool: dict[str, int] = {}
     try:
         doc_ids = retrieve_documents(question.text, corpus, k_docs)
     except ValueError as exc:
         raise ValueError(f"question {question.id!r}: {exc}") from exc
-    for doc_id in doc_ids:
-        for i, number in enumerate(corpus.sentences(doc_id)):
-            pool[f"{doc_id}:{i}"] = number
-    if not pool:
+    docs = np.array([corpus._numbers[doc_id] for doc_id in doc_ids], dtype=np.intp)
+    sentence_first = np.asarray(corpus._sentence_first)
+    starts, stops = sentence_first[docs], sentence_first[docs + 1]
+    numbers = _concat_ranges(starts, stops)
+    if not len(numbers):
         raise ValueError(f"no candidate sentences for question {question.id!r}")
     if scorer is None:
-        scores = corpus.score_sentences(question.text, pool.values())
+        scores = corpus.score_sentences(question.text, numbers)
     else:
         scores = scorer.score_pairs(
-            [(question.text, corpus.sentence_text(number)) for number in pool.values()]
+            [(question.text, corpus.sentence_text(number)) for number in numbers.tolist()]
         )
+        if len(scores) != len(numbers):
+            raise ScoringError(
+                f"scorer returned {len(scores)} scores for {len(numbers)} candidates"
+            )
+    scores = np.asarray(scores, dtype=float)
+
+    # only the sentences scoring at least the k-th best score, every tie at
+    # it included, get ids; `order` ranks them as it would the whole pool
+    kept = np.arange(len(numbers))
+    if len(numbers) > k_sents:
+        kth = np.partition(scores, len(numbers) - k_sents)[len(numbers) - k_sents]
+        kept = np.flatnonzero(~(scores < kth))  # not `>= kth`: a NaN never drops a candidate
+    doc = np.repeat(np.arange(len(docs)), stops - starts)[kept]
+    pool = {
+        f"{doc_ids[d]}:{number - start}": number
+        for d, number, start in zip(doc.tolist(), numbers[kept].tolist(), starts[doc].tolist())
+    }
     return [
         AnswerCandidate(cid, cid, corpus.sentence_text(pool[cid]), None, (question.language,))
-        for cid, _ in order(list(pool), scores)[:k_sents]
+        for cid, _ in order(list(pool), scores[kept].tolist())[:k_sents]
     ]
 
 

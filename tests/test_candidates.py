@@ -21,7 +21,15 @@ from mlas2.candidates import (
     split_sentences,
 )
 from mlas2.dataset import DatasetFormatError, QuestionGroup, stats, validate_dataset
-from mlas2.reranking import IdfTable, LexicalScorer, tokenize
+from mlas2.reranking import (
+    IdfTable,
+    LexicalScorer,
+    ScoringError,
+    TextPairScorer,
+    order,
+    tokenize,
+    vector_norm,
+)
 
 
 def linear_scan_postings(docs, term):
@@ -366,6 +374,21 @@ def test_sentence_tokens_are_the_document_tokens(text):
     k_docs=1,
     k_sents=2,
 )
+# no sentence at all: the pool's numbers are empty
+@example(texts=[""], query="cats", k_docs=1, k_sents=1)
+# a sentence without tokens has norm 0 and scores 0.0
+@example(texts=[". "], query="ΟΔΟΣ", k_docs=1, k_sents=1)
+# every query term is one the corpus lacks: nothing matches
+@example(texts=["cats 42. ß x_1"], query="zzz yyy zzz", k_docs=1, k_sents=2)
+# the third sentence has as many distinct terms as the question, so cosine
+# sums in the question's order; in the sentence's order, its score moves by
+# an ulp
+@example(
+    texts=["cats. star x_1. star ΟΔΟΣ ς ς x."],
+    query="x ΟΔΟΣ ς star ΟΔΟΣ star",
+    k_docs=1,
+    k_sents=2,
+)
 def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
     corpus = _unicode_corpus(texts)
     lexical = _scorer(corpus)  # over every split sentence, scoring texts
@@ -376,6 +399,85 @@ def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
     numbers = [j for doc in corpus.documents for j in corpus.sentences(doc.id)]
     pairs = [(query, corpus.sentence_text(j)) for j in numbers]
     assert corpus.score_sentences(query, numbers) == lexical.score_pairs(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_U_DOC, max_size=6))
+def test_sentence_norms_and_df_equal_per_sentence_loops(texts):
+    corpus = _unicode_corpus(texts)
+    index = corpus._index
+    first = index._first
+    sentences = range(len(first) - 1)
+    for j in sentences:
+        weights = corpus._weights[first[j] : first[j + 1]].tolist()
+        assert corpus._sentence_norms[j] == vector_norm(weights)
+    assert corpus.sentence_idf.df == index.document_frequencies(sentences)
+
+
+# most sentences share no term with the question, so most of a pool ties at 0.0
+_TIE_WORD = st.sampled_from(["cats", "sun", "star", "mice", "ΟΔΟΣ", "ς"])
+_TIE_DOC = st.lists(
+    st.lists(_TIE_WORD, max_size=3).map(lambda ws: " ".join(ws) + "."), min_size=1, max_size=8
+).map(" ".join)
+
+
+class _RoundingScorer(TextPairScorer):
+    """Scores a pair by how many of its question's words its text holds, in
+    a few steps, so scores tie often; ``wrong`` scores one pair too many
+    (1) or too few (-1)."""
+
+    def __init__(self, wrong: int = 0) -> None:
+        self.wrong = wrong
+
+    def score_pairs(self, pairs):
+        scores = [min(1.0, len(set(tokenize(q)) & set(tokenize(t))) / 4) for q, t in pairs]
+        return scores[:-1] if self.wrong < 0 else scores + [0.5] * self.wrong
+
+
+def _pool(corpus, query, k_docs):
+    """The pool ``select_candidates`` scores: its ids and sentence numbers."""
+    return [
+        (f"{doc_id}:{i}", number)
+        for doc_id in retrieve_documents(query, corpus, k_docs)
+        for i, number in enumerate(corpus.sentences(doc_id))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(_TIE_DOC, min_size=1, max_size=5),
+    query=st.lists(st.sampled_from(["cats", "mice", "ς"]), min_size=1, max_size=3).map(" ".join),
+    k_docs=st.integers(1, 6),
+    extra=st.integers(1, 5),
+)
+def test_top_k_keeps_every_tie_at_the_threshold(texts, query, k_docs, extra):
+    corpus = DocumentCorpus([Document(f"d{i}", t) for i, t in enumerate(texts)])
+    q = make_question("q1", query)
+    pool = _pool(corpus, query, k_docs)
+    ids, numbers = [cid for cid, _ in pool], [number for _, number in pool]
+    texts_of = dict(zip(ids, map(corpus.sentence_text, numbers)))
+
+    def expected(scores, k_sents):
+        return [
+            make_candidate(cid, texts_of[cid], None)
+            for cid, _ in order(ids, scores)[:k_sents]
+        ]
+
+    # k_sents past every nonzero score, so a threshold, if any, is a 0.0 tie
+    scores = corpus.score_sentences(query, numbers)
+    k_sents = sum(score > 0.0 for score in scores) + extra
+    got = select_candidates(q, corpus, None, k_docs=k_docs, k_sents=k_sents)
+    assert got == expected(scores, k_sents)
+
+    stub = _RoundingScorer()
+    scores = stub.score_pairs([(query, texts_of[cid]) for cid in ids])
+    for k_sents in {1, k_sents, len(ids)}:
+        got = select_candidates(q, corpus, stub, k_docs=k_docs, k_sents=k_sents)
+        assert got == expected(scores, k_sents)
+
+    for wrong in (-1, 1):
+        with pytest.raises(ScoringError, match=f"returned {len(ids) + wrong} scores"):
+            select_candidates(q, corpus, _RoundingScorer(wrong), k_docs=k_docs, k_sents=1)
 
 
 @settings(max_examples=150, deadline=None)

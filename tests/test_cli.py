@@ -788,6 +788,33 @@ def test_candidates_build_rejects_k_sents_below_1(capsys, tmp_path, k_sents):
     assert not tasks.exists()
 
 
+@pytest.mark.parametrize("flag", ["--k-docs", "--k-sents"])
+@pytest.mark.parametrize("value", [-3, 0])
+def test_candidates_build_rejects_counts_below_1_before_any_input_is_read(
+    capsys, monkeypatch, tmp_path, flag, value
+):
+    # with no questions, `--k-docs 0 --k-sents -3` exited 0 and wrote an empty
+    # task file; with questions, `--k-docs 0` failed only after the index build
+    def no_call(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr("mlas2.cli.load_questions", no_call)
+    monkeypatch.setattr("mlas2.candidates.load_corpus", no_call)
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("")
+    tasks = tmp_path / "tasks.jsonl"
+    argv = ["candidates", "build", "--corpus", tmp_path / "corpus.jsonl", "--questions", questions]
+    code, out, err = run(capsys, *argv, flag, value, "--out", tasks)
+    assert (code, out) == (2, "")
+    assert err == f"mlas2: error: {flag[2:].replace('-', '_')} must be >= 1, got {value}\n"
+    assert not tasks.exists()
+
+    code, out, err = run(capsys, *argv, flag, "2.5", "--out", tasks)
+    assert (code, out) == (1, "")  # not an integer: a usage error, as before
+    assert f"argument {flag}: invalid" in err
+    assert not tasks.exists()
+
+
 def test_candidates_build_names_a_question_without_tokens(capsys, tmp_path):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text(json.dumps({"id": "d1", "text": "Cats chase mice. Cats sleep."}) + "\n")
