@@ -10,7 +10,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +35,6 @@ from mlas2.reranking import (
     ScoringError,
     TermIndex,
     TextPairScorer,
-    doc_norm,
     order,
     tokenize,
     vector_norm,
@@ -49,8 +48,9 @@ class Document:
 
 
 class DocumentCorpus:
-    """Immutable index over a document collection, built in one pass that
-    tokenizes each sentence once.
+    """Immutable index over a document collection, built in one pass over
+    each sentence's span and tokens and one array pass per chunk of
+    documents.
 
     The sentences, numbered in document order, are the entries of one
     ``TermIndex``, whose ``term_ids`` key both idf tables and the postings.
@@ -79,26 +79,42 @@ class DocumentCorpus:
         # a query is never numbered through the index: new ids would lie
         # past the postings, and the corpus would grow with its queries
         index = self._index = TermIndex()
-        self.term_ids = index.term_ids
-        doc_terms, doc_tfs, doc_first = array("i"), array("i"), array("q", [0])
+        doc_index = TermIndex()  # the documents' entries, read into the postings
+        numbering = _Numbering()
         self._sentence_first = array("q", [0])  # per document, then the total
         self._starts, self._ends = array("q"), array("q")  # per sentence
-        for doc in self._docs:
-            doc_tokens: list[str] = []
-            for start, end in sentence_spans(doc.text):
-                tokens = tokenize(doc.text[start:end])
-                doc_tokens += tokens
-                index.add(tokens)
-                self._starts.append(start)
-                self._ends.append(end)
+        for c in range(0, len(self._docs), _CHUNK_DOCS):
+            spans: list[tuple[int, int]] = []
+            tokens: list[list[str]] = []
+            per_doc: list[int] = []
+            for doc in self._docs[c : c + _CHUNK_DOCS]:
+                doc_spans = sentence_spans(doc.text)
+                # each sentence is lowercased on its own, never the document:
+                # `str.lower` reads the neighbouring characters (a final
+                # sigma) and can change a text's length (`İ`)
+                tokens += [tokenize(doc.text[start:end]) for start, end in doc_spans]
+                spans += doc_spans
+                per_doc.append(len(doc_spans))
+            _extend(self._sentence_first, len(self._starts) + np.cumsum(per_doc))
+            spans_arr = np.array(spans, dtype=np.int64).reshape(-1, 2)
+            _extend(self._starts, spans_arr[:, 0])
+            _extend(self._ends, spans_arr[:, 1])
+
+            # the chunk's tokens as term ids, new terms numbered as first seen
+            lengths = np.fromiter(map(len, tokens), np.intp, len(tokens))
+            terms = np.fromiter(
+                map(numbering.__getitem__, chain.from_iterable(tokens)), np.intp, lengths.sum()
+            )
             # only whitespace lies between sentences, so their tokens are
-            # exactly the document's, all numbered by now
-            counts = Counter(doc_tokens)
-            doc_terms.extend(map(self.term_ids.__getitem__, counts))
-            doc_tfs.extend(counts.values())
-            doc_first.append(len(doc_terms))
-            self._sentence_first.append(len(self._starts))
-        self._index_documents(doc_terms, doc_tfs, doc_first)
+            # exactly the documents'
+            sentence_of = np.repeat(np.arange(len(tokens)), lengths)
+            doc_of = np.repeat(np.arange(len(per_doc)), per_doc)[sentence_of]
+            _add_entries(index, sentence_of, terms, len(tokens), len(numbering))
+            _add_entries(doc_index, doc_of, terms, len(per_doc), len(numbering))
+        # a plain dict: looking up a term it lacks numbers nothing
+        self.term_ids = index.term_ids = dict(numbering)
+        self._index_documents(doc_index._terms, doc_index._counts, doc_index._first)
+        del doc_index  # freed before the sentence weights and norms are built
 
         # a sentence holds each of its terms once, so counting the term
         # column counts the sentences that hold each term
@@ -106,12 +122,12 @@ class DocumentCorpus:
         df = np.bincount(terms, minlength=len(self.term_ids))
         self.sentence_idf = IdfTable(dict(enumerate(df.tolist())), len(self._starts))
         self._weights = self.sentence_idf.weights(terms, index._counts)
-        self._sentence_norms = _norms(self._weights, np.asarray(index._first))
+        self._sentence_norms = _norms(self._weights * self._weights, np.asarray(index._first))
 
     def _index_documents(self, terms: array, tfs: array, first: array) -> None:
         """The postings, ``idf_table`` and document norms from each document's
-        term ids and counts, laid out as a ``TermIndex``'s; the sort's
-        temporaries are freed on return."""
+        term ids and counts, laid out as a ``TermIndex``'s; the sort's and
+        the norms' temporaries are freed on return."""
         by_term = np.argsort(terms, kind="stable")
         doc_df = np.bincount(terms, minlength=len(self.term_ids))
         self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
@@ -119,7 +135,8 @@ class DocumentCorpus:
         self._post_tfs = np.asarray(tfs)[by_term]
         self.idf_table = IdfTable(dict(enumerate(doc_df.tolist())), len(self._docs))
         weights = self.idf_table.weights(terms, tfs)
-        self._norms = np.array([doc_norm(weights[a:b].tolist()) for a, b in pairwise(first)])
+        squares = np.float_power(weights, 2.0, out=weights)  # in place: no second array
+        self._norms = _norms(squares, np.asarray(first))
 
     @property
     def num_docs(self) -> int:
@@ -200,12 +217,28 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-def _norms(weights: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """``vector_norm`` of each text's weights ``weights[first[n]:first[n + 1]]``:
-    the squares are added position by position, so each text's sum runs
-    left to right as ``vector_norm``'s does."""
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The positions, in order, of the scores at least the k-th best: every
+    tie at the k-th best is kept, so a stable sort of the kept scores ranks
+    them as it would all of them."""
+    if len(scores) <= k:
+        return np.arange(len(scores))
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    return np.flatnonzero(~(scores < kth))  # not `>= kth`: a NaN is never dropped
+
+
+def _norms(squares: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The norm of each text from its weights' squares
+    ``squares[first[n]:first[n + 1]]``: the squares are added position by
+    position, so each text's sum runs left to right as ``vector_norm``'s
+    does.
+
+    Sentences square as ``w * w``, as ``vector_norm`` does; documents as
+    ``np.float_power(w, 2.0)``, equal bit for bit to Python's ``w ** 2``.
+    The two forms can round apart in the last bit (numpy's ``w ** 2`` is
+    ``w * w``), and each keeps its callers' scores and orderings unchanged.
+    """
     starts, lengths = first[:-1], np.diff(first)
-    squares = weights * weights
     sums = np.zeros(len(lengths))
     rows, p = np.flatnonzero(lengths), 0
     while len(rows):
@@ -213,6 +246,47 @@ def _norms(weights: np.ndarray, first: np.ndarray) -> np.ndarray:
         p += 1
         rows = rows[lengths[rows] > p]
     return np.sqrt(sums)
+
+
+# documents whose tokens are numbered and counted in one array pass: larger
+# chunks leave fewer passes but a larger heap behind
+_CHUNK_DOCS = 256
+
+
+class _Numbering(dict):
+    """Term ids in first-seen order: a term looked up for the first time
+    takes the next id."""
+
+    def __missing__(self, term: str) -> int:
+        n = self[term] = len(self)
+        return n
+
+
+def _add_entries(
+    index: TermIndex, owners: np.ndarray, terms: np.ndarray, num_owners: int, num_terms: int
+) -> None:
+    """Append ``num_owners`` texts to ``index`` from a stream of term ids, each
+    token ``i`` belonging to text ``owners[i]`` (nondecreasing from 0): each
+    text's distinct terms and their counts, in first-occurrence order.
+
+    A stable sort by (owner, term) puts each group's first token at its
+    start; the group's count is written there, and the tokens holding a
+    count are the entries, in stream order."""
+    keys = owners * num_terms + terms
+    by_key = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
+    counts = np.zeros(len(keys), np.intp)
+    counts[by_key[starts]] = np.diff(starts, append=len(keys))
+    entries = np.flatnonzero(counts)
+    _extend(index._terms, terms[entries])
+    _extend(index._counts, counts[entries])
+    sizes = np.bincount(owners[entries], minlength=num_owners)
+    _extend(index._first, index._first[-1] + np.cumsum(sizes))
+
+
+def _extend(column: array, values: np.ndarray) -> None:
+    """Append ``values`` to an integer column, converted to its type."""
+    column.frombytes(values.astype(column.typecode).tobytes())
 
 
 def load_corpus(path: str | Path) -> DocumentCorpus:
@@ -243,10 +317,12 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
             dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(t)
 
     # every weight is at least 1, so a document matches exactly when its dot
-    # is nonzero; a stable sort keeps tied documents in id order
+    # is nonzero; only those scoring at least the k-th best are sorted, and a
+    # stable sort keeps tied documents in id order
     matched = np.flatnonzero(dots)
     scores = dots[matched] / (q_norm * corpus._norms[matched])
-    ranked = matched[np.argsort(-scores, kind="stable")[:k]]
+    kept = _top_k(scores, k)
+    ranked = matched[kept[np.argsort(-scores[kept], kind="stable")[:k]]]
     if len(ranked) < k:
         ranked = np.concatenate((ranked, np.flatnonzero(dots == 0.0)[: k - len(ranked)]))
     return [corpus._docs[n].id for n in ranked.tolist()]
@@ -328,12 +404,9 @@ def select_candidates(
             )
     scores = np.asarray(scores, dtype=float)
 
-    # only the sentences scoring at least the k-th best score, every tie at
-    # it included, get ids; `order` ranks them as it would the whole pool
-    kept = np.arange(len(numbers))
-    if len(numbers) > k_sents:
-        kth = np.partition(scores, len(numbers) - k_sents)[len(numbers) - k_sents]
-        kept = np.flatnonzero(~(scores < kth))  # not `>= kth`: a NaN never drops a candidate
+    # only the sentences `_top_k` keeps get ids; `order` ranks them as it
+    # would the whole pool
+    kept = _top_k(scores, k_sents)
     doc = np.repeat(np.arange(len(docs)), stops - starts)[kept]
     pool = {
         f"{doc_ids[d]}:{number - start}": number

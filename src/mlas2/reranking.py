@@ -161,16 +161,6 @@ def vector_norm(weights: Iterable[float]) -> float:
     return math.sqrt(sum([x * x for x in weights]))
 
 
-def doc_norm(weights: Iterable[float]) -> float:
-    """Norm of an indexed document's tf-idf weights, summed in their order.
-
-    Squares as ``** 2`` where ``vector_norm`` multiplies: the two can round
-    apart in the last bit, and each form keeps its callers' scores and
-    orderings unchanged.
-    """
-    return math.sqrt(sum([w ** 2 for w in weights]))
-
-
 def cosine(u: dict, nu: float, v: dict, nv: float) -> float:
     """Cosine similarity of sparse non-negative vectors (weights keyed by
     term or term id) given with their norms, in [0, 1]; 0.0 when either is

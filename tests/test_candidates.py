@@ -2,12 +2,14 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_candidate, make_question
+from mlas2 import candidates
 from mlas2.candidates import (
     Document,
     DocumentCorpus,
@@ -25,6 +27,7 @@ from mlas2.reranking import (
     IdfTable,
     LexicalScorer,
     ScoringError,
+    TermIndex,
     TextPairScorer,
     order,
     tokenize,
@@ -179,6 +182,11 @@ _doc_text = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee", "f"]), max_size
     st.lists(st.sampled_from(["a", "b", "cc", "zz"]), min_size=1, max_size=4).map(" ".join),
     st.randoms(use_true_random=False),
 )
+# identical documents tie across k (k at the match count and one less): a
+# top-k that keeps only the scores above the k-th best drops the tie and
+# fills with documents that match nothing
+@example(["a", "a b", "cc", "a b", "a b"], "a", random.Random(0))
+@example(["a b", "a", "b a", "a", "cc", "a b", "a"], "a b", random.Random(1))
 def test_top_k_equals_full_sort(texts, query, rng):
     """k below, at and above the number of matching documents, with ids that
     are not in corpus order, gives exactly the full sort's list."""
@@ -497,6 +505,9 @@ def test_sentence_table_equals_idf_over_split_sentences(texts):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_U_DOC, max_size=6), _U_QUERY)
+# the first document's norm is 6.636394757809998 with its squares taken as
+# `** 2`, and 6.636394757809999 with them taken as `w * w`
+@example(["x x x y", "a", "b", "c", "d"], "x")
 def test_postings_and_norms_equal_whole_document_counts(texts, query):
     corpus = _unicode_corpus(texts)
     counts = {doc.id: Counter(tokenize(doc.text)) for doc in corpus.documents}
@@ -513,6 +524,89 @@ def test_postings_and_norms_equal_whole_document_counts(texts, query):
     if tokenize(query):
         for k in (1, 2, len(texts) + 3):
             assert retrieve_documents(query, corpus, k) == full_sort_retrieval(query, corpus, k)
+
+
+def _per_sentence_index(texts):
+    """Reference: the index the per-sentence loop built for ``_unicode_corpus``
+    of ``texts``. Each sentence is added to a ``TermIndex`` as its tokens,
+    each document's terms are counted whole, the postings are gathered term
+    by term, and the norms are summed in Python."""
+    docs = sorted((f"d{i}", t) for i, t in enumerate(texts))
+    index = TermIndex()
+    starts, ends, sentence_first = [], [], [0]
+    doc_entries = []
+    for _, text in docs:
+        doc_tokens = []
+        for start, end in sentence_spans(text):
+            tokens = tokenize(text[start:end])
+            doc_tokens += tokens
+            index.add(tokens)
+            starts.append(start)
+            ends.append(end)
+        sentence_first.append(len(starts))
+        doc_entries.append([(index.term_ids[t], tf) for t, tf in Counter(doc_tokens).items()])
+
+    num_terms = len(index.term_ids)
+    postings = [[] for _ in range(num_terms)]
+    for n, entries in enumerate(doc_entries):
+        for t, tf in entries:
+            postings[t].append((n, tf))
+    doc_table = IdfTable({t: len(p) for t, p in enumerate(postings)}, len(docs))
+    sentences = range(len(starts))
+    sentence_table = IdfTable(index.document_frequencies(sentences), len(starts))
+    return {
+        "term_ids": list(index.term_ids.items()),
+        "index": (list(index._first), list(index._terms), list(index._counts)),
+        "sentences": (sentence_first, starts, ends),
+        "postings": (
+            list(accumulate(map(len, postings), initial=0)),
+            [n for p in postings for n, _ in p],
+            [tf for p in postings for _, tf in p],
+        ),
+        "norms": [
+            math.sqrt(sum([(tf * doc_table.idf(t)) ** 2 for t, tf in entries]))
+            for entries in doc_entries
+        ],
+        "sentence_norms": [
+            vector_norm(sentence_table.vector_of(*index.terms(j)).values()) for j in sentences
+        ],
+        "df": (doc_table.df, sentence_table.df),
+    }
+
+
+def _index_state(corpus):
+    index = corpus._index
+    return {
+        "term_ids": list(corpus.term_ids.items()),
+        "index": (list(index._first), list(index._terms), list(index._counts)),
+        "sentences": (list(corpus._sentence_first), list(corpus._starts), list(corpus._ends)),
+        "postings": (
+            corpus._post_first.tolist(),
+            corpus._post_docs.tolist(),
+            corpus._post_tfs.tolist(),
+        ),
+        "norms": corpus._norms.tolist(),
+        "sentence_norms": corpus._sentence_norms.tolist(),
+        "df": (corpus.idf_table.df, corpus.sentence_idf.df),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_U_DOC, max_size=7))
+# a document without a sentence, and one whose sentence has no token
+@example([""])
+@example([". "])
+@example(["ΑΣ. ΒΣ\tİ. x"])
+# in chunks of one or two documents, a chunk without a token lies between
+# chunks with tokens
+@example(["cats 42. cats", "x_1 ß. 42", "...", "?! ", "ς ΟΔΟΣ. cats"])
+def test_bulk_build_equals_per_sentence_loop(texts):
+    expected = _per_sentence_index(texts)
+    for size in (1, 2, 3, candidates._CHUNK_DOCS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(candidates, "_CHUNK_DOCS", size)
+            corpus = _unicode_corpus(texts)
+        assert _index_state(corpus) == expected
 
 
 # ---------------------------------------------------------------------------
