@@ -111,10 +111,10 @@ def main() -> None:
 
     sys.path.insert(0, str(ROOT / "src"))
     from mlas2.algebra import materialize, parse_composition
-    from mlas2.candidates import load_corpus, select_candidates
+    from mlas2.candidates import load_corpus, select_candidates, split_sentences
     from mlas2.dataset import load_questions
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import lexical_score, rank
+    from mlas2.reranking import LexicalScorer, rank
     from mlas2.translation import MockTranslator
 
     corpus = load_corpus(corpus_path)
@@ -139,24 +139,19 @@ def main() -> None:
             print(f"{question.id}: {len(cands)} candidates, {positives} positive")
 
     # order-stability checks on every scored list the pipeline produces
-    doc_idf = _doc_idf(corpus)
+    doc_scorer = LexicalScorer(doc.text for doc in corpus.documents)
     for question in questions:
-        scored = [
-            (doc.id, lexical_score(question.text, doc.text, doc_idf), doc.text)
-            for doc in corpus.documents
-        ]
+        scores = doc_scorer.score_pairs([(question.text, doc.text) for doc in corpus.documents])
+        scored = [(doc.id, s, doc.text) for doc, s in zip(corpus.documents, scores)]
         check_gaps(scored, f"retrieval for {question.id}")
 
-    sentence_idf = _sentence_idf(corpus)
-    seln_scores = {
-        question.id: [
-            (c.id, lexical_score(question.text, c.text, sentence_idf), c.text)
-            for c in selected[question.id]
-        ]
-        for question in questions
-    }
-    for qid, scored in seln_scores.items():
-        check_gaps(scored, f"selection for {qid}")
+    sentences = [s for doc in corpus.documents for s in split_sentences(doc.text)]
+    sentence_scorer = LexicalScorer(sentences)
+    for question in questions:
+        cands = selected[question.id]
+        scores = sentence_scorer.score_pairs([(question.text, c.text) for c in cands])
+        scored = [(c.id, s, c.text) for c, s in zip(cands, scores)]
+        check_gaps(scored, f"selection for {question.id}")
 
     # run the real pipeline end to end and freeze the oracle's output
     from mlas2.cli import main as cli_main
@@ -219,19 +214,6 @@ def main() -> None:
     (FIXTURES / "expected_metrics.json").write_text(oracle_out + "\n")
     print(f"expected metrics: {oracle_out}")
     print(f"fixture written to {FIXTURES}")
-
-
-def _doc_idf(corpus):
-    from mlas2.reranking import IdfTable
-
-    return IdfTable.from_texts(doc.text for doc in corpus.documents)
-
-
-def _sentence_idf(corpus):
-    from mlas2.candidates import split_sentences
-    from mlas2.reranking import IdfTable
-
-    return IdfTable.from_texts(s for doc in corpus.documents for s in split_sentences(doc.text))
 
 
 if __name__ == "__main__":

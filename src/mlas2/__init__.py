@@ -50,7 +50,6 @@ from mlas2.reranking import (
     RemoteScorer,
     Scorer,
     StaticScorer,
-    lexical_score,
     linear_head_apply,
     rank,
 )

@@ -35,9 +35,12 @@ from mlas2.reranking import (
     ScoringError,
     TermIndex,
     TextPairScorer,
+    Vectors,
+    concat_ranges,
+    cosines,
+    norms,
     order,
     tokenize,
-    vector_norm,
 )
 
 
@@ -117,12 +120,12 @@ class DocumentCorpus:
         del doc_index  # freed before the sentence weights and norms are built
 
         # a sentence holds each of its terms once, so counting the term
-        # column counts the sentences that hold each term
-        terms = np.asarray(index._terms)
+        # column counts the sentences that hold each term; the views pin the
+        # index's columns, which never grow again
+        first, terms = np.asarray(index._first), np.asarray(index._terms)
         df = np.bincount(terms, minlength=len(self.term_ids))
-        self.sentence_idf = IdfTable(dict(enumerate(df.tolist())), len(self._starts))
-        self._weights = self.sentence_idf.weights(terms, index._counts)
-        self._sentence_norms = _norms(self._weights * self._weights, np.asarray(index._first))
+        self.sentence_idf = IdfTable(df, len(self._starts))
+        self._sentences = self.sentence_idf.vectors(first, terms, index._counts)
 
     def _index_documents(self, terms: array, tfs: array, first: array) -> None:
         """The postings, ``idf_table`` and document norms from each document's
@@ -133,10 +136,10 @@ class DocumentCorpus:
         self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
         self._post_docs = np.repeat(np.arange(len(self._docs)), np.diff(first))[by_term]
         self._post_tfs = np.asarray(tfs)[by_term]
-        self.idf_table = IdfTable(dict(enumerate(doc_df.tolist())), len(self._docs))
+        self.idf_table = IdfTable(doc_df, len(self._docs))
         weights = self.idf_table.weights(terms, tfs)
         squares = np.float_power(weights, 2.0, out=weights)  # in place: no second array
-        self._norms = _norms(squares, np.asarray(first))
+        self._norms = norms(squares, np.asarray(first))
 
     @property
     def num_docs(self) -> int:
@@ -160,61 +163,23 @@ class DocumentCorpus:
         doc = self._docs[bisect_right(self._sentence_first, number) - 1]
         return doc.text[self._starts[number] : self._ends[number]]
 
-    def query_vector(self, query: str, table: IdfTable) -> tuple[dict, float]:
-        """The query's tf-idf vector over one of the corpus's tables and its
-        norm. A term the corpus lacks keeps its text as its key: it matches
-        no term id but still counts toward the vector's length."""
+    def query_vector(self, query: str, table: IdfTable) -> Vectors:
+        """The query's tf-idf vector over one of the corpus's tables, as one
+        text. Every term the corpus lacks takes the one id past its terms:
+        it matches no term but still counts toward the vector's length and
+        norm."""
         counts = Counter(tokenize(query))
         ids = self.term_ids
-        v = table.vector_of([ids.get(term, term) for term in counts], counts.values())
-        return v, vector_norm(v.values())
+        terms = np.array([ids.get(term, len(ids)) for term in counts], dtype=np.intp)
+        return table.vectors(np.array([0, len(terms)]), terms, list(counts.values()))
 
     def score_sentences(self, query: str, numbers: Sequence[int]) -> list[float]:
         """Lexical scores of ``query`` against the numbered sentences: what a
         ``LexicalScorer`` over every corpus sentence gives for their texts,
-        read from the precomputed weights instead of re-tokenizing them.
-
-        ``cosine``'s arithmetic for the whole pool at once: a sentence's
-        products sit in the order of the shorter vector (the query on a tie)
-        and are added left to right, a term the other vector lacks adding an
-        exact 0.0 to a sum that is never negative."""
-        q, q_norm = self.query_vector(query, self.sentence_idf)
-        numbers = np.asarray(numbers, dtype=np.intp)
-        first = np.asarray(self._index._first)
-        starts, stops = first[numbers], first[numbers + 1]
-        lengths = stops - starts
-        entries = _concat_ranges(starts, stops)
-        # each entry's place in the query, -1 (weight 0.0) for a term it lacks
-        place = np.full(len(self.term_ids), -1)
-        for i, t in enumerate(q):
-            if isinstance(t, int):
-                place[t] = i
-        in_query = place[np.asarray(self._index._terms)[entries]]
-        products = self._weights[entries] * np.array([*q.values(), 0.0])[in_query]
-
-        rows = np.repeat(np.arange(len(numbers)), lengths)
-        by_sentence = np.repeat(lengths < len(q), lengths)
-        cols = np.where(by_sentence, entries - np.repeat(starts, lengths), in_query)
-        kept = cols >= 0
-        table = np.zeros((len(q), len(numbers)))
-        table[cols[kept], rows[kept]] = products[kept]
-        dots = np.zeros(len(numbers))
-        for column in table:
-            dots += column
-
-        # every nonzero norm is at least 1, so the product is 0 only when a
-        # norm is, where cosine gives 0.0
-        norms = q_norm * self._sentence_norms[numbers]
-        scores = np.zeros(len(numbers))
-        scored = norms != 0.0
-        scores[scored] = np.minimum(1.0, dots[scored] / norms[scored])
-        return scores.tolist()
-
-
-def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The integers of each range ``[starts[i], stops[i])``, concatenated."""
-    lengths = stops - starts
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        read from the precomputed sentence vectors instead of re-tokenizing
+        them."""
+        q = self.query_vector(query, self.sentence_idf)
+        return cosines(q, self._sentences, np.zeros(len(numbers), np.intp), numbers).tolist()
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -225,27 +190,6 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.arange(len(scores))
     kth = np.partition(scores, len(scores) - k)[len(scores) - k]
     return np.flatnonzero(~(scores < kth))  # not `>= kth`: a NaN is never dropped
-
-
-def _norms(squares: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The norm of each text from its weights' squares
-    ``squares[first[n]:first[n + 1]]``: the squares are added position by
-    position, so each text's sum runs left to right as ``vector_norm``'s
-    does.
-
-    Sentences square as ``w * w``, as ``vector_norm`` does; documents as
-    ``np.float_power(w, 2.0)``, equal bit for bit to Python's ``w ** 2``.
-    The two forms can round apart in the last bit (numpy's ``w ** 2`` is
-    ``w * w``), and each keeps its callers' scores and orderings unchanged.
-    """
-    starts, lengths = first[:-1], np.diff(first)
-    sums = np.zeros(len(lengths))
-    rows, p = np.flatnonzero(lengths), 0
-    while len(rows):
-        sums[rows] += squares[starts[rows] + p]
-        p += 1
-        rows = rows[lengths[rows] > p]
-    return np.sqrt(sums)
 
 
 # documents whose tokens are numbered and counted in one array pass: larger
@@ -303,16 +247,16 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     table = corpus.idf_table
-    q_weights, q_norm = corpus.query_vector(query, table)
-    if not q_weights:
+    q = corpus.query_vector(query, table)
+    if not len(q.terms):
         raise ValueError("query has no tokens after tokenization")
 
     # dot products over the query's term ids' postings only, added per
     # document in query-term order; every other document scores 0
     dots = np.zeros(corpus.num_docs)
     first = corpus._post_first
-    for t, qw in q_weights.items():
-        if isinstance(t, int):
+    for t, qw in zip(q.terms.tolist(), q.weights.tolist()):
+        if t < len(corpus.term_ids):
             span = slice(first[t], first[t + 1])
             dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(t)
 
@@ -320,7 +264,7 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     # is nonzero; only those scoring at least the k-th best are sorted, and a
     # stable sort keeps tied documents in id order
     matched = np.flatnonzero(dots)
-    scores = dots[matched] / (q_norm * corpus._norms[matched])
+    scores = dots[matched] / (q.norms[0] * corpus._norms[matched])
     kept = _top_k(scores, k)
     ranked = matched[kept[np.argsort(-scores[kept], kind="stable")[:k]]]
     if len(ranked) < k:
@@ -389,7 +333,7 @@ def select_candidates(
     docs = np.array([corpus._numbers[doc_id] for doc_id in doc_ids], dtype=np.intp)
     sentence_first = np.asarray(corpus._sentence_first)
     starts, stops = sentence_first[docs], sentence_first[docs + 1]
-    numbers = _concat_ranges(starts, stops)
+    numbers = concat_ranges(starts, stops)
     if not len(numbers):
         raise ValueError(f"no candidate sentences for question {question.id!r}")
     if scorer is None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from mlas2.dataset import COUNT, SCORE, TEXT, QuestionGroup, read_fields
@@ -127,12 +129,14 @@ def evaluate(
     if not rankings:
         raise ValueError("nothing to evaluate: no judged rankings")
     n = len(rankings)
+    # added left to right with `reduce`: from Python 3.12, `sum()` adds
+    # floats with compensation, which would change the averages
     return MetricsReport(
         test_set=test_set,
         num_questions=n,
-        p_at_1=sum(precision_at_1(r) for r in rankings) / n,
-        map=sum(average_precision(r) for r in rankings) / n,
-        mrr=sum(reciprocal_rank(r) for r in rankings) / n,
+        p_at_1=reduce(add, (precision_at_1(r) for r in rankings), 0.0) / n,
+        map=reduce(add, (average_precision(r) for r in rankings), 0.0) / n,
+        mrr=reduce(add, (reciprocal_rank(r) for r in rankings), 0.0) / n,
         num_excluded=num_excluded,
     )
 

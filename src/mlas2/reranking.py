@@ -19,10 +19,9 @@ import reprlib
 from abc import ABC, abstractmethod
 from array import array
 from collections import Counter
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import requests
@@ -52,7 +51,10 @@ class TermIndex:
     text ``n`` holds the entries from ``_first[n]`` up to ``_first[n + 1]``.
     Terms and texts are numbered in first-seen order. ``number`` tokenizes
     each distinct text once; ``add`` appends a text it is given as tokens.
-    An index lives as long as its owner: one run, one scorer or one corpus."""
+    An index lives as long as its owner: one run, one scorer or one corpus.
+
+    Never keep a numpy view of a column across a call that numbers texts:
+    an ``array`` that exports its buffer cannot grow (``BufferError``)."""
 
     def __init__(self) -> None:
         self.term_ids: dict[str, int] = {}
@@ -83,103 +85,145 @@ class TermIndex:
         """The numbers of ``texts``, in order."""
         return array("i", map(self.number, texts))
 
-    def terms(self, n: int) -> tuple[array, array]:
-        """Text ``n``'s term ids and their counts."""
-        span = slice(self._first[n], self._first[n + 1])
-        return self._terms[span], self._counts[span]
-
-    def document_frequencies(self, numbers: Iterable[int]) -> dict[int, int]:
-        """How many of the numbered texts hold each term id, each text
-        counted as often as its number is given."""
-        df = [0] * len(self.term_ids)
-        first, terms = self._first, self._terms
-        for n in numbers:
-            for t in terms[first[n] : first[n + 1]]:
-                df[t] += 1
-        return {t: k for t, k in enumerate(df) if k}
-
 
 class IdfTable:
-    """Smoothed inverse document frequencies over a candidate corpus:
-    idf(w) = ln((N+1)/(df(w)+1)) + 1, computed once per term at construction;
-    every unseen term shares the df = 0 value. Terms are keyed by their text
-    or, in a table over a ``TermIndex`` (a scorer's or a corpus's), by id.
+    """Smoothed inverse document frequencies over a candidate corpus, as
+    arrays indexed by term id: idf(w) = ln((N+1)/(df(w)+1)) + 1, computed
+    with ``math.log`` once per distinct df. A term id the table lacks (one
+    numbered after it was built, or a query term the corpus lacks) takes
+    the unseen-term idf, the df = 0 value.
 
-    This is the package's one tf-idf core: the lexical scorer, the mock
+    This is the package's one tf-idf weighting: the lexical scorer, the mock
     scorer server, document retrieval and the corpus sentence index all
     weigh terms through it.
     """
 
-    def __init__(self, df: dict, num_docs: int) -> None:
-        self.df = dict(df)
+    def __init__(self, df: np.ndarray, num_docs: int) -> None:
+        self.df = np.asarray(df, dtype=np.intp)
         self.num_docs = num_docs
-        self._idf = {
-            term: math.log((num_docs + 1) / (n + 1)) + 1.0 for term, n in self.df.items()
-        }
-        self._unseen_idf = math.log(num_docs + 1) + 1.0
+        # one entry past the last term id: the unseen-term idf, df = 0
+        values, inverse = np.unique(np.append(self.df, 0), return_inverse=True)
+        idf = [math.log((num_docs + 1) / (n + 1)) + 1.0 for n in values.tolist()]
+        self._idf = np.array(idf)[inverse]
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str], index: TermIndex | None = None) -> "IdfTable":
-        """The table of ``texts``, each text one document. Given a term index,
-        the texts are read through it and the table is keyed by its term ids."""
-        if index is not None:
-            numbers = index.numbers(texts)
-            return cls(index.document_frequencies(numbers), len(numbers))
-        df: Counter[str] = Counter()
-        n = 0
-        for text in texts:
-            n += 1
-            df.update(set(tokenize(text)))
-        return cls(dict(df), n)
+    def from_texts(cls, texts: Iterable[str], index: TermIndex) -> "IdfTable":
+        """The table of ``texts``, each text one document, read through
+        ``index``: df counts each text as often as it is given."""
+        numbers = np.asarray(index.numbers(texts))
+        # views of the columns, taken once every text is numbered
+        first, terms = np.asarray(index._first), np.asarray(index._terms)
+        df = np.zeros(len(index.term_ids), np.intp)
+        for c in range(0, len(numbers), _CHUNK_TEXTS):
+            ns = numbers[c : c + _CHUNK_TEXTS]
+            df += np.bincount(terms[concat_ranges(first[ns], first[ns + 1])], minlength=len(df))
+        return cls(df, len(numbers))
 
-    def idf(self, term: str) -> float:
-        return self._idf.get(term, self._unseen_idf)
-
-    @cached_property
-    def _idf_by_id(self) -> np.ndarray:
-        return np.fromiter(self._idf.values(), dtype=float, count=len(self._idf))
-
-    def vector(self, text: str) -> dict[str, float]:
-        """Tf-idf weights of a text's terms, in first-occurrence order."""
-        counts = Counter(tokenize(text))
-        return self.vector_of(counts, counts.values())
-
-    def vector_of(self, terms: Iterable, tfs: Iterable[int]) -> dict:
-        """Tf-idf weights (tf times idf) of terms, or of term ids in a table
-        keyed by them, given with their counts; in the order given."""
-        idf, unseen = self._idf, self._unseen_idf
-        return {term: tf * idf.get(term, unseen) for term, tf in zip(terms, tfs)}
+    def idf(self, term: int) -> float:
+        return float(self._idf[min(term, len(self.df))])
 
     def weights(self, term_ids: Sequence[int], tfs: Sequence[int]) -> np.ndarray:
-        """The tf-idf weights ``vector_of`` gives (tf times idf, elementwise),
-        in a table keyed by every term id from 0, in order."""
-        return np.asarray(tfs) * self._idf_by_id[np.asarray(term_ids)]
+        """Tf-idf weights (tf times idf) of term ids given with their counts."""
+        ids = np.asarray(term_ids)
+        # an id past the table reads the unseen idf at the end; the clamped
+        # copy is made only when needed, since a corpus's ids are many
+        if ids.max(initial=0) > len(self.df):
+            ids = np.minimum(ids, len(self.df))
+        return np.asarray(tfs) * self._idf[ids]
+
+    def vectors(self, first: np.ndarray, term_ids: np.ndarray, tfs: Sequence[int]) -> Vectors:
+        """The tf-idf vectors of texts laid out flat, their weights squared
+        as ``w * w`` for the norms."""
+        weights = self.weights(term_ids, tfs)
+        return Vectors(first, term_ids, weights, norms(weights * weights, first))
 
 
-def vector_norm(weights: Iterable[float]) -> float:
-    """Norm of a text's tf-idf weights, summed in their order."""
-    return math.sqrt(sum([x * x for x in weights]))
+# texts whose document frequencies one `bincount` counts
+_CHUNK_TEXTS = 4096
 
 
-def cosine(u: dict, nu: float, v: dict, nv: float) -> float:
-    """Cosine similarity of sparse non-negative vectors (weights keyed by
-    term or term id) given with their norms, in [0, 1]; 0.0 when either is
-    zero. The dot product sums over the shorter vector (u on a tie) in its
-    own order."""
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(x * v[t] for t, x in u.items() if t in v)
-    # sqrt(s) ** 2 can fall below s, so a text scored against itself could
-    # exceed 1 by an ulp
-    return min(1.0, dot / (nu * nv))
+class Vectors(NamedTuple):
+    """Texts' tf-idf vectors, stored flat: text ``n`` holds the term ids and
+    weights from ``first[n]`` up to ``first[n + 1]``, in first-occurrence
+    order, and has norm ``norms[n]``."""
+
+    first: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+    norms: np.ndarray
 
 
-def lexical_score(q_text: str, t_text: str, idf_table: IdfTable) -> float:
-    """Tf-idf cosine between question and candidate; always in [0, 1]."""
-    q, t = idf_table.vector(q_text), idf_table.vector(t_text)
-    return cosine(q, vector_norm(q.values()), t, vector_norm(t.values()))
+def norms(squares: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The norm of each text from its weights' squares
+    ``squares[first[n]:first[n + 1]]``, added left to right.
+
+    Sentences and scored texts square as ``w * w``; documents as
+    ``np.float_power(w, 2.0)``, equal bit for bit to Python's ``w ** 2``.
+    The two forms can round apart in the last bit (numpy's ``w ** 2`` is
+    ``w * w``), and each keeps its callers' scores and orderings unchanged.
+    """
+    starts, lengths = first[:-1], np.diff(first)
+    sums = np.zeros(len(lengths))
+    rows, p = np.flatnonzero(lengths), 0
+    while len(rows):
+        sums[rows] += squares[starts[rows] + p]
+        p += 1
+        rows = rows[lengths[rows] > p]
+    return np.sqrt(sums)
+
+
+def cosines(q: Vectors, t: Vectors, qs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The tf-idf cosine of q text ``qs[i]`` with t text ``ts[i]`` for each
+    pair ``i``, in [0, 1]: the package's one lexical score.
+
+    Each pair's products sit in the order of its shorter vector (q on a
+    tie) and are added left to right; a term the other vector lacks adds an
+    exact 0.0 to a sum that is never negative. The dot is divided by the
+    product of the norms and clamped to 1.0, since a text scored against
+    itself can round one ulp above it; a zero norm scores 0.0.
+
+    Every t entry of a pair finds its weight in q by ``searchsorted`` over
+    q's entries sorted by (term, text), so q needs no dense per-text array.
+    """
+    qs, ts = np.asarray(qs, np.intp), np.asarray(ts, np.intp)
+    q_start, t_start = q.first[qs], t.first[ts]
+    q_len, t_len = q.first[qs + 1] - q_start, t.first[ts + 1] - t_start
+    entries = concat_ranges(t_start, t_start + t_len)
+    pair = np.repeat(np.arange(len(ts)), t_len)
+    terms = t.terms[entries]
+
+    # (term, q text) keys, in 64 bits; only the t entries whose term some q
+    # text holds are looked up
+    num_q = len(q.first) - 1
+    q_keys = q.terms.astype(np.intp) * num_q + np.repeat(np.arange(num_q), np.diff(q.first))
+    by_key = np.argsort(q_keys)
+    sorted_keys = q_keys[by_key]
+    maybe = np.flatnonzero(np.isin(terms, q.terms))
+    keys = terms[maybe].astype(np.intp) * num_q + qs[pair[maybe]]
+    found = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    matched = sorted_keys[found] == keys
+    hit = maybe[matched]
+    pair, entries, q_entry = pair[hit], entries[hit], by_key[found[matched]]
+
+    walk_t = (t_len < q_len)[pair]
+    cols = np.where(walk_t, entries - t_start[pair], q_entry - q_start[pair])
+    table = np.zeros((int(np.minimum(q_len, t_len).max(initial=0)), len(ts)))
+    table[cols, pair] = t.weights[entries] * q.weights[q_entry]
+    dots = np.zeros(len(ts))
+    for row in table:
+        dots += row
+
+    q_norms, t_norms = q.norms[qs], t.norms[ts]
+    scores = np.zeros(len(ts))
+    scored = (q_norms != 0.0) & (t_norms != 0.0)
+    scores[scored] = np.minimum(1.0, dots[scored] / (q_norms[scored] * t_norms[scored]))
+    return scores
+
+
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of each range ``[starts[i], stops[i])``, concatenated."""
+    lengths = stops - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +267,36 @@ class LexicalScorer(TextPairScorer):
         self.index = TermIndex() if index is None else index
         self.idf_table = IdfTable.from_texts(texts, self.index)
 
-    def _vector(self, n: int) -> tuple[dict[int, float], float]:
-        v = self.idf_table.vector_of(*self.index.terms(n))
-        return v, vector_norm(v.values())
-
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Each distinct text is vectorized once per call: the questions up
-        front, and each candidate text as the pairs are taken in the order of
-        the candidate texts' numbers. The order is walked from a flat array,
-        not a list, to keep the call's memory small."""
-        qs = self.index.numbers(q for q, _ in pairs)
-        ts = self.index.numbers(t for _, t in pairs)
-        questions = {n: self._vector(n) for n in set(qs)}
-        out = [0.0] * len(pairs)
-        last = None
-        for i in memoryview(np.argsort(ts)):
-            if ts[i] != last:
-                last = ts[i]
-                tv = self._vector(last)
-            out[i] = cosine(*questions[qs[i]], *tv)
+        """Every text is numbered first; then each block of pairs gathers,
+        weighs and norms only its own distinct texts and scores through
+        ``cosines``, which keeps the call's memory small."""
+        qs = np.asarray(self.index.numbers(q for q, _ in pairs))
+        ts = np.asarray(self.index.numbers(t for _, t in pairs))
+        out: list[float] = []
+        for start in range(0, len(pairs), _BLOCK_PAIRS):
+            block = slice(start, start + _BLOCK_PAIRS)
+            q, q_local = self._vectors(qs[block])
+            t, t_local = self._vectors(ts[block])
+            out += cosines(q, t, q_local, t_local).tolist()
         return out
+
+    def _vectors(self, numbers: np.ndarray) -> tuple[Vectors, np.ndarray]:
+        """The tf-idf vectors of the distinct numbered texts, and each
+        number's place among them."""
+        distinct, local = np.unique(numbers, return_inverse=True)
+        index_first = np.asarray(self.index._first)
+        starts, stops = index_first[distinct], index_first[distinct + 1]
+        entries = concat_ranges(starts, stops)
+        first = np.concatenate(([0], np.cumsum(stops - starts)))
+        terms = np.asarray(self.index._terms)[entries]
+        tfs = np.asarray(self.index._counts)[entries]
+        return self.idf_table.vectors(first, terms, tfs), local
+
+
+# pairs scored per ``cosines`` call: a larger block gathers more texts at once
+# and raises the peak memory of a run
+_BLOCK_PAIRS = 1024
 
 
 class StaticScorer(Scorer):
@@ -341,10 +395,6 @@ class LinearHead:
     @property
     def input_dim(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
 
 
 def linear_head_apply(x, head: LinearHead) -> float:

@@ -1,8 +1,11 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import strategies as st
 
 from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
-from mlas2.reranking import TextPairScorer, rank
+from mlas2.reranking import TextPairScorer, rank, tokenize
 
 
 def make_question(qid: str, text: str, lang: str = "en") -> Question:
@@ -95,3 +98,44 @@ def tie_heavy_datasets(draw) -> Dataset:
         labeled = draw(st.lists(st.tuples(_texts, st.sampled_from([0, 1])), min_size=1, max_size=5))
         groups.append(make_group(f"q{i}", draw(_texts), labeled))
     return make_dataset(groups)
+
+
+def left_to_right_sum(values) -> float:
+    """Floats added one by one, in order: Python 3.12's ``sum()`` is
+    compensated, so references never call it on floats."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def idf(df: int, num_docs: int) -> float:
+    """Smoothed idf of a term held by ``df`` of ``num_docs`` texts."""
+    return math.log((num_docs + 1) / (df + 1)) + 1.0
+
+
+def norm(weights) -> float:
+    """A vector's norm: its weights squared as ``w * w``, added left to right."""
+    return math.sqrt(left_to_right_sum(w * w for w in weights))
+
+
+def per_pair_lexical_score(q_text: str, t_text: str, texts) -> float:
+    """Reference: the tf-idf cosine of one pair over the idf table of
+    ``texts``, each text one document, computed from the texts alone,
+    without the [0, 1] clamp. Each vector holds ``tf * idf`` in its text's
+    first-occurrence order; the dot walks the shorter vector (the question
+    on a tie) in its own order."""
+    df = Counter(term for text in texts for term in set(tokenize(text)))
+
+    def vector(text):
+        counts = Counter(tokenize(text))
+        return {term: tf * idf(df[term], len(texts)) for term, tf in counts.items()}
+
+    u, v = vector(q_text), vector(t_text)
+    nu, nv = norm(u.values()), norm(v.values())
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if len(v) < len(u):
+        u, v = v, u
+    dot = left_to_right_sum(x * v[t] for t, x in u.items() if t in v)
+    return dot / (nu * nv)

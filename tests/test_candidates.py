@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_candidate, make_question
+from conftest import (
+    idf,
+    left_to_right_sum,
+    make_candidate,
+    make_question,
+    norm,
+    per_pair_lexical_score,
+)
 from mlas2 import candidates
 from mlas2.candidates import (
     Document,
@@ -31,7 +38,6 @@ from mlas2.reranking import (
     TextPairScorer,
     order,
     tokenize,
-    vector_norm,
 )
 
 
@@ -78,7 +84,7 @@ def full_sort_retrieval(query, corpus, k):
         return math.log((corpus.num_docs + 1) / (len(corpus.postings(term)) + 1)) + 1.0
 
     q_weights = {term: tf * idf(term) for term, tf in Counter(tokenize(query)).items()}
-    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+    q_norm = math.sqrt(left_to_right_sum(w * w for w in q_weights.values()))
     dots = {}
     for term, qw in q_weights.items():
         for doc_id, tf in corpus.postings(term):
@@ -86,7 +92,7 @@ def full_sort_retrieval(query, corpus, k):
     scored = []
     for doc in corpus.documents:
         counts = Counter(tokenize(doc.text))
-        norm = math.sqrt(sum((tf * idf(term)) ** 2 for term, tf in counts.items()))
+        norm = math.sqrt(left_to_right_sum((tf * idf(term)) ** 2 for term, tf in counts.items()))
         dot = dots.get(doc.id, 0.0)
         score = dot / (q_norm * norm) if norm > 0.0 and dot != 0.0 else 0.0
         scored.append((doc.id, score))
@@ -405,21 +411,32 @@ def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
     assert got == _select_or_error(q, corpus, lexical, k_docs=k_docs, k_sents=k_sents)
 
     numbers = [j for doc in corpus.documents for j in corpus.sentences(doc.id)]
-    pairs = [(query, corpus.sentence_text(j)) for j in numbers]
-    assert corpus.score_sentences(query, numbers) == lexical.score_pairs(pairs)
+    sentences = [corpus.sentence_text(j) for j in numbers]
+    expected = [min(1.0, per_pair_lexical_score(query, t, sentences)) for t in sentences]
+    assert corpus.score_sentences(query, numbers) == expected
+    assert lexical.score_pairs([(query, t) for t in sentences]) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_U_DOC, max_size=6))
+# the first sentence's norm rounds apart with its squares taken as `** 2`
+@example(["x x x y", "a", "b", "c", "d"])
 def test_sentence_norms_and_df_equal_per_sentence_loops(texts):
     corpus = _unicode_corpus(texts)
     index = corpus._index
     first = index._first
     sentences = range(len(first) - 1)
+    df = [0] * len(corpus.term_ids)
     for j in sentences:
-        weights = corpus._weights[first[j] : first[j + 1]].tolist()
-        assert corpus._sentence_norms[j] == vector_norm(weights)
-    assert corpus.sentence_idf.df == index.document_frequencies(sentences)
+        for t in index._terms[first[j] : first[j + 1]]:
+            df[t] += 1
+    for j in sentences:
+        span = slice(first[j], first[j + 1])
+        entries = zip(index._terms[span], index._counts[span])
+        weights = [tf * idf(df[t], len(sentences)) for t, tf in entries]
+        assert corpus._sentences.weights[span].tolist() == weights
+        assert corpus._sentences.norms[j] == norm(weights)
+    assert corpus.sentence_idf.df.tolist() == df
 
 
 # most sentences share no term with the question, so most of a pool ties at 0.0
@@ -492,11 +509,15 @@ def test_top_k_keeps_every_tie_at_the_threshold(texts, query, k_docs, extra):
 @given(st.lists(_U_DOC, max_size=6))
 def test_sentence_table_equals_idf_over_split_sentences(texts):
     corpus = _unicode_corpus(texts)
-    expected = IdfTable.from_texts(s for t in texts for s in split_sentences(t))
-    # keyed by every term id, in order, since its weights read idf by position
-    assert list(corpus.sentence_idf.df) == list(range(len(corpus.term_ids)))
-    df = corpus.sentence_idf.df
-    assert {term: df[t] for term, t in corpus.term_ids.items()} == expected.df
+    index = TermIndex()
+    expected = IdfTable.from_texts((s for t in texts for s in split_sentences(t)), index)
+    # one entry per term id, since its weights read idf by position
+    assert len(corpus.sentence_idf.df) == len(corpus.term_ids)
+    df = corpus.sentence_idf.df.tolist()
+    expected_df = expected.df.tolist()
+    assert {term: df[t] for term, t in corpus.term_ids.items()} == {
+        term: expected_df[t] for term, t in index.term_ids.items()
+    }
     assert corpus.sentence_idf.num_docs == expected.num_docs
     for doc in corpus.documents:
         got = [corpus.sentence_text(j) for j in corpus.sentences(doc.id)]
@@ -515,10 +536,11 @@ def test_postings_and_norms_equal_whole_document_counts(texts, query):
     for term in {t for c in counts.values() for t in c} | {"zzz"}:
         expected = sorted((doc_id, c[term]) for doc_id, c in counts.items() if term in c)
         assert corpus.postings(term) == expected
-        assert table.df.get(corpus.term_ids.get(term), 0) == len(expected)
+        t = corpus.term_ids.get(term)
+        assert (0 if t is None else table.df[t]) == len(expected)
     for doc_id, c in counts.items():
         norm = math.sqrt(
-            sum([(tf * table.idf(corpus.term_ids[term])) ** 2 for term, tf in c.items()])
+            left_to_right_sum((tf * table.idf(corpus.term_ids[term])) ** 2 for term, tf in c.items())
         )
         assert corpus._norms[corpus._numbers[doc_id]] == norm
     if tokenize(query):
@@ -551,9 +573,15 @@ def _per_sentence_index(texts):
     for n, entries in enumerate(doc_entries):
         for t, tf in entries:
             postings[t].append((n, tf))
-    doc_table = IdfTable({t: len(p) for t, p in enumerate(postings)}, len(docs))
-    sentences = range(len(starts))
-    sentence_table = IdfTable(index.document_frequencies(sentences), len(starts))
+    doc_idf = [idf(len(p), len(docs)) for p in postings]
+    sentence_df = [0] * num_terms
+    for t in index._terms:
+        sentence_df[t] += 1
+    sentence_idf = [idf(df, len(starts)) for df in sentence_df]
+    sentence_entries = [
+        [(index._terms[e], index._counts[e]) for e in range(index._first[j], index._first[j + 1])]
+        for j in range(len(starts))
+    ]
     return {
         "term_ids": list(index.term_ids.items()),
         "index": (list(index._first), list(index._terms), list(index._counts)),
@@ -564,13 +592,13 @@ def _per_sentence_index(texts):
             [tf for p in postings for _, tf in p],
         ),
         "norms": [
-            math.sqrt(sum([(tf * doc_table.idf(t)) ** 2 for t, tf in entries]))
+            math.sqrt(left_to_right_sum((tf * doc_idf[t]) ** 2 for t, tf in entries))
             for entries in doc_entries
         ],
         "sentence_norms": [
-            vector_norm(sentence_table.vector_of(*index.terms(j)).values()) for j in sentences
+            norm([tf * sentence_idf[t] for t, tf in entries]) for entries in sentence_entries
         ],
-        "df": (doc_table.df, sentence_table.df),
+        "df": ([len(p) for p in postings], sentence_df),
     }
 
 
@@ -586,8 +614,8 @@ def _index_state(corpus):
             corpus._post_tfs.tolist(),
         ),
         "norms": corpus._norms.tolist(),
-        "sentence_norms": corpus._sentence_norms.tolist(),
-        "df": (corpus.idf_table.df, corpus.sentence_idf.df),
+        "sentence_norms": corpus._sentences.norms.tolist(),
+        "df": (corpus.idf_table.df.tolist(), corpus.sentence_idf.df.tolist()),
     }
 
 

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_group
+from conftest import left_to_right_sum, make_group
+from mlas2 import metrics
 from mlas2.metrics import (
     DeltaReport,
     JudgedRanking,
@@ -130,6 +133,21 @@ def test_metric_bounds(labels):
     assert 1 / n <= reciprocal_rank(r) <= 1.0
     assert average_precision(r) <= 1.0
     assert precision_at_1(r) <= reciprocal_rank(r)
+
+
+def test_evaluate_adds_left_to_right_whatever_sum_does(monkeypatch):
+    # reciprocal ranks (and APs) 1/5, 1/5, 1/6, 1/6: a compensated sum, as
+    # Python 3.12's sum() of floats is, differs from the left-to-right one
+    rankings = [jr([0] * k + [1], f"q{i}") for i, k in enumerate([4, 4, 5, 5])]
+    rr = [reciprocal_rank(r) for r in rankings]
+    assert [average_precision(r) for r in rankings] == rr
+    assert math.fsum(rr) != left_to_right_sum(rr)
+    expected = evaluate(rankings)
+    assert expected.map == expected.mrr == left_to_right_sum(rr) / 4
+    monkeypatch.setattr(
+        metrics, "sum", lambda values, start=0: math.fsum(values) + start, raising=False
+    )
+    assert evaluate(rankings) == expected
 
 
 def test_judge_joins_gold_labels():

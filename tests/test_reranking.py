@@ -1,14 +1,13 @@
 import json
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_candidate, make_question, rank_one
+from conftest import idf, make_candidate, make_question, per_pair_lexical_score, rank_one
 from mlas2.dataset import QuestionGroup
 from mlas2.experiment import ScorerSpec, build_scorer
 from mlas2.reranking import (
@@ -19,7 +18,6 @@ from mlas2.reranking import (
     ScoringError,
     StaticScorer,
     TermIndex,
-    lexical_score,
     linear_head_apply,
     order,
     rank,
@@ -47,26 +45,9 @@ def brute_force_tfidf_cosine(q_text, t_text, corpus_texts):
     return 0.0 if nu == 0 or nv == 0 else dot / (nu * nv)
 
 
-def per_pair_lexical_score(q_text, t_text, table):
-    """Reference: the per-pair formula the shared core replaced (idf through
-    math.log on every lookup, both vectors and norms rebuilt for every pair),
-    without the [0, 1] clamp."""
-
-    def idf(term):
-        return math.log((table.num_docs + 1) / (table.df.get(term, 0) + 1)) + 1.0
-
-    def vector(text):
-        return {term: tf * idf(term) for term, tf in Counter(tokenize(text)).items()}
-
-    u, v = vector(q_text), vector(t_text)
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(x * v[t] for t, x in u.items() if t in v)
-    return dot / (nu * nv)
+def lexical_score(q_text, t_text, texts):
+    """One pair's score from a ``LexicalScorer`` over ``texts``."""
+    return LexicalScorer(texts).score_pairs([(q_text, t_text)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +62,7 @@ def test_tokenize():
 
 def test_lexical_score_three_doc_corpus():
     corpus = ["a b", "a c", "d"]
-    idf = IdfTable.from_texts(corpus)
-    got = lexical_score("a b", "a c", idf)
+    got = lexical_score("a b", "a c", corpus)
     oracle = brute_force_tfidf_cosine("a b", "a c", corpus)
     assert got == pytest.approx(oracle, abs=1e-12)
     # frozen oracle value: (ln(4/3)+1)^2 / ((ln(4/3)+1)^2 + (ln2+1)^2)
@@ -90,18 +70,16 @@ def test_lexical_score_three_doc_corpus():
 
 
 def test_lexical_score_identical_and_disjoint():
-    idf = IdfTable.from_texts(["x y z", "p q"])
-    assert lexical_score("x y z", "x y z", idf) == pytest.approx(1.0, abs=1e-12)
-    assert lexical_score("x y", "p q", idf) == 0.0
-    assert lexical_score("", "x", idf) == 0.0
+    corpus = ["x y z", "p q"]
+    assert lexical_score("x y z", "x y z", corpus) == pytest.approx(1.0, abs=1e-12)
+    assert lexical_score("x y", "p q", corpus) == 0.0
+    assert lexical_score("", "x", corpus) == 0.0
 
 
 def test_identical_texts_score_exactly_one():
     # sqrt(3) ** 2 < 3, so the unclamped cosine of this text with itself is
     # 1.0000000000000002
-    idf = IdfTable.from_texts(["a b c"])
-    assert per_pair_lexical_score("a b c", "a b c", idf) > 1.0
-    assert lexical_score("a b c", "a b c", idf) == 1.0
+    assert per_pair_lexical_score("a b c", "a b c", ["a b c"]) > 1.0
     assert LexicalScorer(["a b c"]).score_pairs([("a b c", "a b c")]) == [1.0]
 
 
@@ -119,14 +97,13 @@ _words = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee", "f", "gg"]), max_s
 def test_score_pairs_equals_per_pair_formula(corpus, questions, picks):
     """Batches that repeat question texts (and hold self-pairs) score exactly
     as the per-pair formula does, clamped to 1."""
-    idf = IdfTable.from_texts(corpus)
     pairs = []
     for i, text, self_pair in picks:
         q = questions[i % len(questions)]
         pairs.append((q, q if self_pair else text))
-    expected = [min(1.0, per_pair_lexical_score(q, t, idf)) for q, t in pairs]
+    expected = [min(1.0, per_pair_lexical_score(q, t, corpus)) for q, t in pairs]
     assert LexicalScorer(corpus).score_pairs(pairs) == expected
-    assert [lexical_score(q, t, idf) for q, t in pairs] == expected
+    assert [lexical_score(q, t, corpus) for q, t in pairs] == expected
 
 
 # tie-heavy unicode: final and capital sigma, a dotted capital I that lowers
@@ -150,8 +127,7 @@ def _scored_datasets(draw):
 
 
 def _text_path(texts, pairs):
-    table = IdfTable.from_texts(texts)
-    return [lexical_score(q, t, table) for q, t in pairs]
+    return [min(1.0, per_pair_lexical_score(q, t, texts)) for q, t in pairs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,38 +154,55 @@ def test_scorers_sharing_one_term_index_equal_the_text_path(datasets, build_firs
         assert got == expected
 
 
+def _entries(index, n):
+    """Text ``n``'s term ids and their counts."""
+    span = slice(index._first[n], index._first[n + 1])
+    return list(index._terms[span]), list(index._counts[span])
+
+
 def test_term_index_tokenizes_each_distinct_text_once():
     index = TermIndex()
     assert list(index.numbers(["b a b", "c", "b a b"])) == [0, 1, 0]
     assert index.number("c") == 1
     assert index.term_ids == {"b": 0, "a": 1, "c": 2}
-    assert [list(x) for x in index.terms(0)] == [[0, 1], [2, 1]]
-    assert index.document_frequencies([0, 1, 0]) == {0: 2, 1: 2, 2: 1}
+    assert _entries(index, 0) == ([0, 1], [2, 1])
+    # each text counts as often as it is given
+    assert IdfTable.from_texts(["b a b", "c", "b a b"], index).df.tolist() == [2, 2, 1]
     # a text added by its tokens takes the next number, but is not keyed by
     # its text, so numbering that text appends it again
     assert index.add(["c", "d", "c"]) == 2
-    assert [list(x) for x in index.terms(2)] == [[2, 3], [2, 1]]
+    assert _entries(index, 2) == ([2, 3], [2, 1])
     assert index.number("c d c") == 3
     assert index.term_ids == {"b": 0, "a": 1, "c": 2, "d": 3}
 
 
 def test_idf_unseen_term_uses_zero_df():
-    idf = IdfTable.from_texts(["a", "b", "c"])
-    assert idf.idf("zzz") == pytest.approx(math.log(4.0) + 1.0)
+    index = TermIndex()
+    table = IdfTable.from_texts(["a", "b", "c"], index)
+    # a term numbered after the table was built is unseen to it
+    unseen = index.term_ids.setdefault("zzz", len(index.term_ids))
+    assert table.idf(unseen) == pytest.approx(math.log(4.0) + 1.0)
+    assert table.weights([unseen, 0], [2, 1]).tolist() == [2 * table.idf(unseen), table.idf(0)]
+
+
+def test_idf_takes_math_log_of_each_df():
+    # np.log rounds ln(21 / 20) one ulp apart from math.log
+    table = IdfTable.from_texts(["a b"] * 19 + ["b"], TermIndex())
+    assert table.df.tolist() == [19, 20]
+    assert [table.idf(0), table.idf(1)] == [idf(19, 20), idf(20, 20)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="ab cd", max_size=30), st.text(alphabet="ab cd", max_size=30))
 def test_lexical_score_symmetric(a, b):
-    idf = IdfTable.from_texts(["a b", "c d", "a c"])
-    assert lexical_score(a, b, idf) == pytest.approx(lexical_score(b, a, idf), abs=1e-12)
+    corpus = ["a b", "c d", "a c"]
+    assert lexical_score(a, b, corpus) == pytest.approx(lexical_score(b, a, corpus), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="abcd ", max_size=30), st.text(alphabet="abcd ", max_size=30))
 def test_lexical_score_in_unit_interval(a, b):
-    idf = IdfTable.from_texts(["a b", "c d"])
-    s = lexical_score(a, b, idf)
+    s = lexical_score(a, b, ["a b", "c d"])
     assert 0.0 <= s <= 1.0
 
 

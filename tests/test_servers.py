@@ -7,9 +7,9 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_group, make_synthetic_dataset
+from conftest import make_dataset, make_group, make_synthetic_dataset, per_pair_lexical_score
 from mlas2.experiment import evaluate_dataset
-from mlas2.reranking import IdfTable, RemoteScorer, ScoringError, StaticScorer, lexical_score
+from mlas2.reranking import RemoteScorer, ScoringError, StaticScorer
 from mlas2.servers import (
     load_pair_scores,
     make_scorer_server,
@@ -369,8 +369,8 @@ def test_scorer_server_lexical_mode_matches_local():
     try:
         pairs = [("what do cats chase", "cats chase mice"), ("what do cats chase", "the sun is a star")]
         got = RemoteScorer(url(server, "/score")).score_pairs(pairs)
-        idf = IdfTable.from_texts(t for _, t in pairs)
-        assert got == [lexical_score(q, t, idf) for q, t in pairs]
+        texts = [t for _, t in pairs]
+        assert got == [min(1.0, per_pair_lexical_score(q, t, texts)) for q, t in pairs]
         assert got[0] > got[1]
     finally:
         server.shutdown()
