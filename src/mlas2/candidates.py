@@ -10,7 +10,6 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -82,8 +81,8 @@ class DocumentCorpus:
         # a query is never numbered through the index: new ids would lie
         # past the postings, and the corpus would grow with its queries
         index = self._index = TermIndex()
-        doc_index = TermIndex()  # the documents' entries, read into the postings
-        numbering = _Numbering()
+        # the documents' entries, over the same term ids, read into the postings
+        doc_index = TermIndex(index.term_ids)
         self._sentence_first = array("q", [0])  # per document, then the total
         self._starts, self._ends = array("q"), array("q")  # per sentence
         for c in range(0, len(self._docs), _CHUNK_DOCS):
@@ -98,48 +97,42 @@ class DocumentCorpus:
                 tokens += [tokenize(doc.text[start:end]) for start, end in doc_spans]
                 spans += doc_spans
                 per_doc.append(len(doc_spans))
-            _extend(self._sentence_first, len(self._starts) + np.cumsum(per_doc))
-            spans_arr = np.array(spans, dtype=np.int64).reshape(-1, 2)
-            _extend(self._starts, spans_arr[:, 0])
-            _extend(self._ends, spans_arr[:, 1])
+            self._sentence_first.extend((len(self._starts) + np.cumsum(per_doc)).tolist())
+            self._starts.extend(start for start, _ in spans)
+            self._ends.extend(end for _, end in spans)
 
-            # the chunk's tokens as term ids, new terms numbered as first seen
-            lengths = np.fromiter(map(len, tokens), np.intp, len(tokens))
-            terms = np.fromiter(
-                map(numbering.__getitem__, chain.from_iterable(tokens)), np.intp, lengths.sum()
-            )
+            terms, sentence_of = index.term_stream(tokens)
+            index.append(terms, sentence_of, len(tokens))
             # only whitespace lies between sentences, so their tokens are
             # exactly the documents'
-            sentence_of = np.repeat(np.arange(len(tokens)), lengths)
             doc_of = np.repeat(np.arange(len(per_doc)), per_doc)[sentence_of]
-            _add_entries(index, sentence_of, terms, len(tokens), len(numbering))
-            _add_entries(doc_index, doc_of, terms, len(per_doc), len(numbering))
-        # a plain dict: looking up a term it lacks numbers nothing
-        self.term_ids = index.term_ids = dict(numbering)
-        self._index_documents(doc_index._terms, doc_index._counts, doc_index._first)
+            doc_index.append(terms, doc_of, len(per_doc))
+        # a plain copy: looking up a term it lacks numbers nothing
+        self.term_ids = dict(index.term_ids)
+        self._index_documents(*doc_index.entries())
         del doc_index  # freed before the sentence weights and norms are built
 
         # a sentence holds each of its terms once, so counting the term
         # column counts the sentences that hold each term; the views pin the
         # index's columns, which never grow again
-        first, terms = np.asarray(index._first), np.asarray(index._terms)
+        first, terms, counts = index.entries()
         df = np.bincount(terms, minlength=len(self.term_ids))
         self.sentence_idf = IdfTable(df, len(self._starts))
-        self._sentences = self.sentence_idf.vectors(first, terms, index._counts)
+        self._sentences = self.sentence_idf.vectors(first, terms, counts)
 
-    def _index_documents(self, terms: array, tfs: array, first: array) -> None:
+    def _index_documents(self, first: np.ndarray, terms: np.ndarray, tfs: np.ndarray) -> None:
         """The postings, ``idf_table`` and document norms from each document's
-        term ids and counts, laid out as a ``TermIndex``'s; the sort's and
-        the norms' temporaries are freed on return."""
+        term ids and counts, as ``TermIndex.entries`` gives them; the sort's
+        and the norms' temporaries are freed on return."""
         by_term = np.argsort(terms, kind="stable")
         doc_df = np.bincount(terms, minlength=len(self.term_ids))
         self._post_first = np.concatenate(([0], np.cumsum(doc_df)))
         self._post_docs = np.repeat(np.arange(len(self._docs)), np.diff(first))[by_term]
-        self._post_tfs = np.asarray(tfs)[by_term]
+        self._post_tfs = tfs[by_term]
         self.idf_table = IdfTable(doc_df, len(self._docs))
         weights = self.idf_table.weights(terms, tfs)
         squares = np.float_power(weights, 2.0, out=weights)  # in place: no second array
-        self._norms = norms(squares, np.asarray(first))
+        self._norms = norms(squares, first)
 
     @property
     def num_docs(self) -> int:
@@ -195,42 +188,6 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 # documents whose tokens are numbered and counted in one array pass: larger
 # chunks leave fewer passes but a larger heap behind
 _CHUNK_DOCS = 256
-
-
-class _Numbering(dict):
-    """Term ids in first-seen order: a term looked up for the first time
-    takes the next id."""
-
-    def __missing__(self, term: str) -> int:
-        n = self[term] = len(self)
-        return n
-
-
-def _add_entries(
-    index: TermIndex, owners: np.ndarray, terms: np.ndarray, num_owners: int, num_terms: int
-) -> None:
-    """Append ``num_owners`` texts to ``index`` from a stream of term ids, each
-    token ``i`` belonging to text ``owners[i]`` (nondecreasing from 0): each
-    text's distinct terms and their counts, in first-occurrence order.
-
-    A stable sort by (owner, term) puts each group's first token at its
-    start; the group's count is written there, and the tokens holding a
-    count are the entries, in stream order."""
-    keys = owners * num_terms + terms
-    by_key = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
-    counts = np.zeros(len(keys), np.intp)
-    counts[by_key[starts]] = np.diff(starts, append=len(keys))
-    entries = np.flatnonzero(counts)
-    _extend(index._terms, terms[entries])
-    _extend(index._counts, counts[entries])
-    sizes = np.bincount(owners[entries], minlength=num_owners)
-    _extend(index._first, index._first[-1] + np.cumsum(sizes))
-
-
-def _extend(column: array, values: np.ndarray) -> None:
-    """Append ``values`` to an integer column, converted to its type."""
-    column.frombytes(values.astype(column.typecode).tobytes())
 
 
 def load_corpus(path: str | Path) -> DocumentCorpus:

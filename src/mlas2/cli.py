@@ -152,6 +152,10 @@ def cmd_dataset_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_candidates_build(args) -> int:
+    # the counts are checked before any input is read
+    for name, value in (("k_docs", args.k_docs), ("k_sents", args.k_sents)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     # questions and scorer first, so that either fails before the index build
     questions = load_questions(args.questions)
     scorer = _scorer(args, ()) if args.scorer == "remote" else None
@@ -316,26 +320,6 @@ def _port(text: str) -> int:
     return port
 
 
-class _FlagValueError(Exception):
-    """An integer flag below its minimum. argparse would turn a ValueError
-    from a flag's type into a usage error (exit 1); this one exits 2, as the
-    ValueError the library raises for the same value."""
-
-
-def _positive(name: str):
-    """The type of a count flag: a non-integer is a usage error, and an
-    integer below 1 fails while the flags are parsed, before any input is
-    read."""
-
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise _FlagValueError(f"{name} must be >= 1, got {value}")
-        return value
-
-    return positive_int
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlas2", description=__doc__)
     parser.set_defaults(out=None)  # for the subcommands without --out
@@ -391,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="JSONL of {id, text} documents")
     p.add_argument("--questions", required=True, help="JSONL of question records")
     p.add_argument("--out", required=True, help="annotation task file")
-    p.add_argument("--k-docs", type=_positive("k_docs"), default=500, dest="k_docs")
-    p.add_argument("--k-sents", type=_positive("k_sents"), default=100, dest="k_sents")
+    p.add_argument("--k-docs", type=int, default=500, dest="k_docs")
+    p.add_argument("--k-sents", type=int, default=100, dest="k_sents")
     p.add_argument("--scorer", choices=("lexical", "remote"), default="lexical")
     p.add_argument("--endpoint", help="remote scorer URL")
     p.add_argument("--max-seq-len", type=int, default=128, dest="max_seq_len")
@@ -461,7 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         # program fault, which must not pass as a runtime error
         raise
     except (
-        _FlagValueError,
         DatasetFormatError,
         MixAlignmentError,
         TranslationError,

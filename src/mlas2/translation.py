@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import requests
-
 from mlas2.dataset import (
     TEXT,
     TEXTS,
@@ -110,6 +108,8 @@ class HttpTranslator(Translator):
     by ``_batches``, and retries and errors follow ``mlas2.wire.post_json``."""
 
     def __init__(self, endpoint: str, *, session: requests.Session | None = None) -> None:
+        import requests  # loaded only by a client that sends requests
+
         self.endpoint = endpoint
         self._session = session or requests.Session()
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import time
 
-import requests
-
 ATTEMPTS = 3
 BACKOFF_S = 0.5
 TIMEOUT_S = 30.0
@@ -29,6 +27,8 @@ def post_json(
     service: str,
 ) -> dict:
     """POST ``payload``; return the reply's JSON object or raise ``error``."""
+    import requests  # loaded only when a request is sent
+
     for attempt in range(ATTEMPTS):
         if attempt:
             time.sleep(BACKOFF_S * 2 ** (attempt - 1))

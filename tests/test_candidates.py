@@ -63,12 +63,12 @@ def brute_force_retrieval(query, docs, k):
         return {w: tokens.count(w) * idf(w) for w in set(tokens)}
 
     q_vec = vec(tokenize(query))
-    q_norm = math.sqrt(sum(x * x for x in q_vec.values()))
+    q_norm = math.sqrt(left_to_right_sum(x * x for x in q_vec.values()))
     scored = []
     for d in docs:
         v = vec(tokenized[d.id])
-        norm = math.sqrt(sum(x * x for x in v.values()))
-        dot = sum(q_vec[w] * v[w] for w in set(q_vec) & set(v))
+        norm = math.sqrt(left_to_right_sum(x * x for x in v.values()))
+        dot = left_to_right_sum(q_vec[w] * v[w] for w in set(q_vec) & set(v))
         score = dot / (q_norm * norm) if norm and dot else 0.0
         scored.append((d.id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
@@ -423,16 +423,15 @@ def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
 @example(["x x x y", "a", "b", "c", "d"])
 def test_sentence_norms_and_df_equal_per_sentence_loops(texts):
     corpus = _unicode_corpus(texts)
-    index = corpus._index
-    first = index._first
+    first, terms, counts = (column.tolist() for column in corpus._index.entries())
     sentences = range(len(first) - 1)
     df = [0] * len(corpus.term_ids)
     for j in sentences:
-        for t in index._terms[first[j] : first[j + 1]]:
+        for t in terms[first[j] : first[j + 1]]:
             df[t] += 1
     for j in sentences:
         span = slice(first[j], first[j + 1])
-        entries = zip(index._terms[span], index._counts[span])
+        entries = zip(terms[span], counts[span])
         weights = [tf * idf(df[t], len(sentences)) for t, tf in entries]
         assert corpus._sentences.weights[span].tolist() == weights
         assert corpus._sentences.norms[j] == norm(weights)
@@ -550,11 +549,13 @@ def test_postings_and_norms_equal_whole_document_counts(texts, query):
 
 def _per_sentence_index(texts):
     """Reference: the index the per-sentence loop built for ``_unicode_corpus``
-    of ``texts``. Each sentence is added to a ``TermIndex`` as its tokens,
-    each document's terms are counted whole, the postings are gathered term
-    by term, and the norms are summed in Python."""
+    of ``texts``. Each sentence's terms are numbered as first seen and its
+    entries counted in a local loop, each document's terms are counted
+    whole, the postings are gathered term by term, and the norms are summed
+    in Python."""
     docs = sorted((f"d{i}", t) for i, t in enumerate(texts))
-    index = TermIndex()
+    term_ids = {}
+    first, terms, counts = [0], [], []
     starts, ends, sentence_first = [], [], [0]
     doc_entries = []
     for _, text in docs:
@@ -562,29 +563,32 @@ def _per_sentence_index(texts):
         for start, end in sentence_spans(text):
             tokens = tokenize(text[start:end])
             doc_tokens += tokens
-            index.add(tokens)
+            for term, tf in Counter(tokens).items():
+                terms.append(term_ids.setdefault(term, len(term_ids)))
+                counts.append(tf)
+            first.append(len(terms))
             starts.append(start)
             ends.append(end)
         sentence_first.append(len(starts))
-        doc_entries.append([(index.term_ids[t], tf) for t, tf in Counter(doc_tokens).items()])
+        doc_entries.append([(term_ids[t], tf) for t, tf in Counter(doc_tokens).items()])
 
-    num_terms = len(index.term_ids)
+    num_terms = len(term_ids)
     postings = [[] for _ in range(num_terms)]
     for n, entries in enumerate(doc_entries):
         for t, tf in entries:
             postings[t].append((n, tf))
     doc_idf = [idf(len(p), len(docs)) for p in postings]
     sentence_df = [0] * num_terms
-    for t in index._terms:
+    for t in terms:
         sentence_df[t] += 1
     sentence_idf = [idf(df, len(starts)) for df in sentence_df]
     sentence_entries = [
-        [(index._terms[e], index._counts[e]) for e in range(index._first[j], index._first[j + 1])]
+        list(zip(terms[first[j] : first[j + 1]], counts[first[j] : first[j + 1]]))
         for j in range(len(starts))
     ]
     return {
-        "term_ids": list(index.term_ids.items()),
-        "index": (list(index._first), list(index._terms), list(index._counts)),
+        "term_ids": list(term_ids.items()),
+        "index": (first, terms, counts),
         "sentences": (sentence_first, starts, ends),
         "postings": (
             list(accumulate(map(len, postings), initial=0)),
@@ -603,10 +607,9 @@ def _per_sentence_index(texts):
 
 
 def _index_state(corpus):
-    index = corpus._index
     return {
         "term_ids": list(corpus.term_ids.items()),
-        "index": (list(index._first), list(index._terms), list(index._counts)),
+        "index": tuple(column.tolist() for column in corpus._index.entries()),
         "sentences": (list(corpus._sentence_first), list(corpus._starts), list(corpus._ends)),
         "postings": (
             corpus._post_first.tolist(),

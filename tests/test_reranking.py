@@ -1,13 +1,22 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import idf, make_candidate, make_question, per_pair_lexical_score, rank_one
+from conftest import (
+    idf,
+    left_to_right_sum,
+    make_candidate,
+    make_question,
+    per_pair_lexical_score,
+    rank_one,
+)
+from mlas2 import reranking
 from mlas2.dataset import QuestionGroup
 from mlas2.experiment import ScorerSpec, build_scorer
 from mlas2.reranking import (
@@ -39,9 +48,9 @@ def brute_force_tfidf_cosine(q_text, t_text, corpus_texts):
         return {w: toks.count(w) * idf(w) for w in set(toks)}
 
     u, v = vec(q_text), vec(t_text)
-    dot = sum(u[w] * v[w] for w in set(u) & set(v))
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
+    dot = left_to_right_sum(u[w] * v[w] for w in set(u) & set(v))
+    nu = math.sqrt(left_to_right_sum(x * x for x in u.values()))
+    nv = math.sqrt(left_to_right_sum(x * x for x in v.values()))
     return 0.0 if nu == 0 or nv == 0 else dot / (nu * nv)
 
 
@@ -156,24 +165,57 @@ def test_scorers_sharing_one_term_index_equal_the_text_path(datasets, build_firs
 
 def _entries(index, n):
     """Text ``n``'s term ids and their counts."""
-    span = slice(index._first[n], index._first[n + 1])
-    return list(index._terms[span]), list(index._counts[span])
+    _, terms, counts = index.entries(np.array([n]))
+    return terms.tolist(), counts.tolist()
 
 
 def test_term_index_tokenizes_each_distinct_text_once():
     index = TermIndex()
     assert list(index.numbers(["b a b", "c", "b a b"])) == [0, 1, 0]
-    assert index.number("c") == 1
+    assert list(index.numbers(["c"])) == [1]
     assert index.term_ids == {"b": 0, "a": 1, "c": 2}
     assert _entries(index, 0) == ([0, 1], [2, 1])
     # each text counts as often as it is given
     assert IdfTable.from_texts(["b a b", "c", "b a b"], index).df.tolist() == [2, 2, 1]
-    # a text added by its tokens takes the next number, but is not keyed by
-    # its text, so numbering that text appends it again
-    assert index.add(["c", "d", "c"]) == 2
-    assert _entries(index, 2) == ([2, 3], [2, 1])
-    assert index.number("c d c") == 3
-    assert index.term_ids == {"b": 0, "a": 1, "c": 2, "d": 3}
+
+
+def _numbered_per_text(batches):
+    """Reference: each batch's numbers, the term ids and the flat columns,
+    with every text numbered, tokenized and counted on its own, in order."""
+    term_ids, numbers = {}, {}
+    first, terms, counts = [0], [], []
+    got = []
+    for batch in batches:
+        for text in batch:
+            if text not in numbers:
+                numbers[text] = len(numbers)
+                for term, tf in Counter(tokenize(text)).items():
+                    terms.append(term_ids.setdefault(term, len(term_ids)))
+                    counts.append(tf)
+                first.append(len(terms))
+        got.append([numbers[text] for text in batch])
+    return got, term_ids, (first, terms, counts)
+
+
+# few distinct texts, so batches repeat them; "" and "_ ." have no token
+_NUMBERED_TEXT = st.sampled_from(["", "_ .", "b a b", "a", "ΟΔΟΣ ς", "Σσ ς", "İ i", "ß SS", "x_1 x"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_NUMBERED_TEXT | st.text(max_size=6), max_size=12), max_size=3))
+@example([["", "b a b", "", "_ .", "b a b"], ["a", "b a b", "ΟΔΟΣ ς"]])
+def test_numbers_equal_a_per_text_loop(batches):
+    """Numbered in one or more calls, whatever the chunk: the same numbers,
+    term ids and columns as numbering each text on its own."""
+    expected_numbers, expected_ids, expected_columns = _numbered_per_text(batches)
+    for size in (1, 2, 3, reranking._CHUNK_NUMBERED):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reranking, "_CHUNK_NUMBERED", size)
+            index = TermIndex()
+            got = [index.numbers(iter(batch)).tolist() for batch in batches]
+        assert got == expected_numbers
+        assert list(index.term_ids.items()) == list(expected_ids.items())
+        assert tuple(column.tolist() for column in index.entries()) == expected_columns
 
 
 def test_idf_unseen_term_uses_zero_df():

@@ -109,3 +109,24 @@ def test_bench_trace_targets_resolve():
         if attr not in vars(owner):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_only_the_term_index_builds_term_id_entries():
+    # reranking.TermIndex is the one builder of term-id entries: no other
+    # module reads or writes its columns, and the corpus keeps no builder
+    columns = {"_first", "_terms", "_counts"}
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "reranking.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in columns
+    ]
+    tree = ast.parse((PACKAGE_DIR / "candidates.py").read_text(encoding="utf-8"))
+    found += [
+        f"candidates.py:{node.lineno}: {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("_add_entries", "_Numbering")
+    ]
+    assert found == []
