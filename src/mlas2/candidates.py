@@ -233,28 +233,20 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
 # sentence splitting
 # ---------------------------------------------------------------------------
 
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|$)")
+# a sentence starts at a non-space character and runs to the first '.', '!'
+# or '?' followed by whitespace or the end of text, or else to the text's last
+# non-space character; `\s` is `str.isspace`. Each step to the next
+# punctuation character is one `[^.!?]*[.!?]`, so a long run of punctuation
+# is matched in linear time (a lazy `.*?` or a `[.!?]+` search is quadratic)
+_SENTENCE_RE = re.compile(r"(?=\S)(?:(?:[^.!?]*[.!?])+?(?=\s|$)|.*\S)", re.S)
 
 
 def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Character spans of sentences: segments ending in '.', '!' or '?'
-    followed by whitespace or end of text. Abbreviations are not handled;
-    a trailing segment without terminal punctuation is kept as a sentence."""
-    spans = []
-    start = 0
-    boundaries = [m.end() for m in _BOUNDARY_RE.finditer(text)]
-    if not boundaries or boundaries[-1] != len(text):
-        boundaries.append(len(text))
-    for end in boundaries:
-        s, e = start, end
-        while s < e and text[s].isspace():
-            s += 1
-        while e > s and text[e - 1].isspace():
-            e -= 1
-        if s < e:
-            spans.append((s, e))
-        start = end
-    return spans
+    followed by whitespace or end of text, without surrounding whitespace.
+    Abbreviations are not handled; a trailing segment without terminal
+    punctuation is kept as a sentence."""
+    return [m.span() for m in _SENTENCE_RE.finditer(text)]
 
 
 def split_sentences(text: str) -> list[str]:

@@ -46,6 +46,7 @@ from mlas2.metrics import (
 )
 from mlas2.reranking import (
     LexicalScorer,
+    PairMemo,
     RemoteScorer,
     Scorer,
     StaticScorer,
@@ -428,7 +429,8 @@ def run_experiment(
     and persist the run record.
 
     Without an explicit trainer, a constant trainer wraps the configured
-    scorer backend (real fine-tuning lives behind the Trainer interface).
+    scorer backend (real fine-tuning lives behind the Trainer interface); a
+    remote backend goes behind a ``PairMemo`` of the run's scored pairs.
     """
     started = _now()
     hp = config.hyperparameters
@@ -484,7 +486,13 @@ def run_experiment(
     # the lexical baseline's idf table always comes from the dataset it scores
     rebind_per_test = trainer is None and config.scorer.kind == "lexical"
     if trainer is None:
-        trainer = ConstantScorerTrainer(scorer_for(dev_data))
+        snapshot = scorer_for(dev_data)
+        # the compositions of a run repeat each other's pairs, and a remote
+        # scorer scores each pair by itself: the run's one snapshot sends each
+        # distinct pair once, through a memo that dies with the run
+        if config.scorer.kind == "remote":
+            snapshot = PairMemo(snapshot)
+        trainer = ConstantScorerTrainer(snapshot)
 
     # a trainer may hand back the snapshot it handed back last time (the
     # constant trainer always does); its dev MAP is then the one just computed

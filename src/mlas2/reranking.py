@@ -419,6 +419,33 @@ class RemoteScorer(TextPairScorer):
         return [float(s) for s in scores]
 
 
+class PairMemo(TextPairScorer):
+    """A text-pair scorer with a memo of the pairs it has scored: each call
+    hands ``scorer`` only the distinct pairs the memo lacks, in first-seen
+    order and in one ``score_pairs`` call, and returns every requested score
+    from the memo, in input order.
+
+    Sound only for a scorer that scores each pair independently of the other
+    pairs it is given, as the remote scoring protocol requires; a lexical
+    scorer's scores depend on its idf table. The memo is ``{q: {t: score}}``,
+    so it keeps the texts but no call's pair tuples alive."""
+
+    def __init__(self, scorer: TextPairScorer) -> None:
+        self.scorer = scorer
+        self._scores: dict[str, dict[str, float]] = {}
+
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        memo = self._scores
+        fresh = list(dict.fromkeys(p for p in pairs if p[1] not in memo.get(p[0], ())))
+        if fresh:
+            scores = self.scorer.score_pairs(fresh)
+            if len(scores) != len(fresh):
+                raise ScoringError(f"scorer returned {len(scores)} scores for {len(fresh)} pairs")
+            for (q, t), score in zip(fresh, scores):
+                memo.setdefault(q, {})[t] = score
+        return [memo[q][t] for q, t in pairs]
+
+
 # ---------------------------------------------------------------------------
 # linear classification head
 # ---------------------------------------------------------------------------

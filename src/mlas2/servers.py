@@ -3,12 +3,14 @@ protocols, so end-to-end runs need no external services.
 
 Translator: POST /translate ``{"src","tgt","texts"}`` -> ``{"texts":[...]}``
 Scorer:     POST /score ``{"max_seq_len","pairs":[{"q","t"},...]}`` -> ``{"scores":[...]}``
+Both:       GET /stats -> ``{"requests","errors","busy_s"}``, the POSTs answered so far
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -23,31 +25,62 @@ def load_pair_scores(path: str | Path) -> dict[tuple[str, str], float]:
 
 
 class _CountingServer(ThreadingHTTPServer):
+    """Counts the POSTs it answers: ``request_count`` from the moment each
+    arrives, and its non-200 answers and the seconds spent answering it
+    before the reply is sent, so ``GET /stats`` sees every POST whose reply
+    a client has read."""
+
     daemon_threads = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.request_count = 0
+        self.error_count = 0
+        self.busy_s = 0.0
         self._count_lock = threading.Lock()
 
     def count_request(self) -> None:
         with self._count_lock:
             self.request_count += 1
 
+    def count_answer(self, status: int, seconds: float) -> None:
+        with self._count_lock:
+            self.error_count += status != 200
+            self.busy_s += seconds
+
+    def stats(self) -> dict:
+        with self._count_lock:
+            return {
+                "requests": self.request_count, "errors": self.error_count, "busy_s": self.busy_s
+            }
+
 
 class _JsonHandler(BaseHTTPRequestHandler):
     """The mock services' one POST path: count the request, check ``path_served``,
     parse a JSON body, and reply with ``answer(body) -> (status, payload)``; a body
     that is not JSON, is nested too deeply to parse, or that ``answer`` cannot
-    read (``DatasetFormatError``) gets a 400."""
+    read (``DatasetFormatError``) gets a 400. ``GET /stats`` answers with the
+    server's counts, and is not counted itself."""
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
     def do_POST(self) -> None:
+        start = time.perf_counter()
         self.server.count_request()
         status, payload = self._route()
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        self.server.count_answer(status, time.perf_counter() - start)
+        self._reply(status, data)
+
+    def do_GET(self) -> None:
+        if self.path != "/stats":
+            status, payload = 404, {"error": f"unknown path {self.path}"}
+        else:
+            status, payload = 200, self.server.stats()
+        self._reply(status, json.dumps(payload).encode("utf-8"))
+
+    def _reply(self, status: int, data: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from itertools import accumulate
 
@@ -241,6 +242,38 @@ def test_spans_recover_sentences(text):
     for s, e in spans:
         assert s < e
         assert not text[s].isspace() and not text[e - 1].isspace()
+
+
+def loop_sentence_spans(text):
+    """Reference splitter: cut after each run of '.', '!' or '?' followed by
+    whitespace or the end, then strip each segment with ``str.isspace``."""
+    spans = []
+    start = 0
+    boundaries = [m.end() for m in re.finditer(r"[.!?]+(?=\s|$)", text)]
+    if not boundaries or boundaries[-1] != len(text):
+        boundaries.append(len(text))
+    for end in boundaries:
+        s, e = start, end
+        while s < e and text[s].isspace():
+            s += 1
+        while e > s and text[e - 1].isspace():
+            e -= 1
+        if s < e:
+            spans.append((s, e))
+        start = end
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab .!?\t\n\x1cΣİ", max_size=40))
+@example("a. ! b")
+@example("a.\n")
+@example("...")
+@example("\x1c")
+@example("x y. z")
+@example("..x.!? y")
+def test_sentence_spans_equal_the_loop_reference(text):
+    assert sentence_spans(text) == loop_sentence_spans(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import math
 import weakref
 from collections import Counter
 from dataclasses import asdict
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,7 @@ from conftest import (
     tie_table,
 )
 from mlas2 import experiment, reranking
-from mlas2.algebra import CompositionParseError
+from mlas2.algebra import CompositionParseError, materialize, parse_composition
 from mlas2.dataset import filter_answerable, save_dataset
 from mlas2.experiment import (
     ConstantScorerTrainer,
@@ -34,7 +36,8 @@ from mlas2.experiment import (
     scripted_dev_map,
 )
 from mlas2.metrics import evaluate, judge
-from mlas2.reranking import LexicalScorer, ScoringError, StaticScorer
+from mlas2.reranking import LexicalScorer, RemoteScorer, ScoringError, StaticScorer
+from mlas2.servers import make_scorer_server, start_in_thread
 from mlas2.translation import MockTranslator, mock_translate
 
 
@@ -626,6 +629,74 @@ def test_a_run_keeps_one_test_composition_alive_at_a_time(tmp_path, monkeypatch)
     # the dev set is scored once, with only itself alive; each test composition
     # is scored with the dev set and itself alive, the ones before it released
     assert alive == [[False, True]] + [[False, True, *[False] * i, True] for i in range(4)]
+
+
+MEMO_TESTS = ["De", "En+De", "EnDe+DeEn", "DeEn"]
+
+
+def composed_pairs(dataset, expr):
+    """The (question, candidate) text pairs a run scores for ``expr``."""
+    data = materialize(parse_composition(expr), dataset, MockTranslator(), {})
+    return [(g.question.text, c.text) for g in data.groups for c in g.candidates]
+
+
+@pytest.fixture
+def memo_run(tmp_path):
+    """A remote run over a table-mode scorer server with the dev set ``De``,
+    which two test compositions repeat: each score call's pairs, the table,
+    the server and the config, and a memo-free rerun of the config."""
+    d, _ = setup_sources(tmp_path)
+    calls = [composed_pairs(d, expr) for expr in ["De", *MEMO_TESTS]]  # dev, then tests
+    table = {pair: i % 7 / 6 for i, pair in enumerate(dict.fromkeys(chain(*calls)))}
+    server = make_scorer_server(pair_scores=table)
+    start_in_thread(server)
+    endpoint = f"http://127.0.0.1:{server.server_port}/score"
+    config = ExperimentConfig.from_json(write_config(
+        tmp_path, dev_expr="De", test_exprs=MEMO_TESTS,
+        scorer={"kind": "remote", "endpoint": endpoint, "batch_size": 16},
+    ))
+
+    def memo_free():
+        trainer = ConstantScorerTrainer(RemoteScorer(endpoint, batch_size=16))
+        return run_experiment(config, trainer=trainer)
+
+    yield calls, table, server, config, memo_free
+    server.shutdown()
+    server.server_close()
+
+
+def posts_sent(server, run):
+    before = server.request_count
+    record = run().to_dict()
+    del record["started"], record["finished"]
+    return record, server.request_count - before
+
+
+def test_a_remote_run_scores_each_distinct_pair_once(memo_run):
+    calls, _, server, config, memo_free = memo_run
+    expected, posts_without = posts_sent(server, memo_free)
+    record, posts = posts_sent(server, lambda: run_experiment(config))
+    assert record == expected
+    assert posts_without == sum(math.ceil(len(pairs) / 16) for pairs in calls)
+    # each call sends the distinct pairs no earlier call sent
+    seen = set()
+    fresh = []
+    for pairs in calls:
+        fresh.append(set(pairs) - seen)
+        seen |= fresh[-1]
+    assert fresh[1] == set()  # the test De repeats the dev set: no POST
+    assert posts == sum(math.ceil(len(new) / 16) for new in fresh) < posts_without
+
+
+def test_a_remote_runs_memo_dies_with_the_run(memo_run):
+    calls, table, server, config, memo_free = memo_run
+    first, posts = posts_sent(server, lambda: run_experiment(config))
+    server.pair_scores = {pair: 1.0 - score for pair, score in table.items()}
+    expected, _ = posts_sent(server, memo_free)
+    second, posts_again = posts_sent(server, lambda: run_experiment(config))
+    assert second == expected
+    assert second["reports"] != first["reports"]
+    assert posts_again == posts
 
 
 def test_run_record_round_trip(tmp_path):

@@ -23,10 +23,12 @@ from mlas2.reranking import (
     IdfTable,
     LexicalScorer,
     LinearHead,
+    PairMemo,
     Scorer,
     ScoringError,
     StaticScorer,
     TermIndex,
+    TextPairScorer,
     linear_head_apply,
     order,
     rank,
@@ -392,6 +394,37 @@ def test_rank_rejects_empty_and_bad_scorer():
 
     with pytest.raises(ScoringError, match="scores"):
         rank_one(q, _cands(["c1", "c2"]), ShortScorer())
+
+
+class RecordingPairScorer(TextPairScorer):
+    """Scores a pair by its texts' lengths and records every call's pairs;
+    ``drop`` scores that many pairs fewer than it is given."""
+
+    def __init__(self, drop=0):
+        self.calls = []
+        self.drop = drop
+
+    def score_pairs(self, pairs):
+        self.calls.append(list(pairs))
+        return [len(q) / (len(q) + len(t)) for q, t in pairs[self.drop:]]
+
+
+def test_pair_memo_hands_on_each_distinct_pair_once():
+    inner, reference = RecordingPairScorer(), RecordingPairScorer()
+    memo = PairMemo(inner)
+    first = [("q", "b"), ("q", "a"), ("q", "b"), ("qq", "a")]
+    second = [("qq", "a"), ("q", "cc"), ("q", "a"), ("q", "cc")]
+    for pairs in (first, second, first + second, []):
+        assert memo.score_pairs(pairs) == reference.score_pairs(pairs)
+    # only the pairs no earlier call had, each once, in first-seen order; a
+    # call without such pairs hands on nothing
+    assert inner.calls == [[("q", "b"), ("q", "a"), ("qq", "a")], [("q", "cc")]]
+
+
+def test_pair_memo_short_reply_is_an_error_never_truncation():
+    memo = PairMemo(RecordingPairScorer(drop=1))
+    with pytest.raises(ScoringError, match="returned 1 scores for 2 pairs"):
+        memo.score_pairs([("q", "a"), ("q", "b"), ("q", "a")])
 
 
 def test_lexical_scorer_from_dataset(tiny_dataset):

@@ -261,6 +261,36 @@ def test_scorer_server_answers_a_lone_surrogate_with_400(sleeps):
         server.server_close()
 
 
+@pytest.mark.parametrize(
+    "make, path, good, bad",
+    [
+        (make_translator_server, "/translate",
+         {"src": "en", "tgt": "de", "texts": ["a b"]}, {"src": "en", "tgt": "en", "texts": []}),
+        (lambda: make_scorer_server(pair_scores={("q", "t"): 0.5}), "/score",
+         {"pairs": [{"q": "q", "t": "t"}]}, {"pairs": [{"q": "q", "t": "unknown"}]}),
+    ],
+    ids=["translator", "scorer"],
+)
+def test_servers_report_their_posts_on_get_stats(make, path, good, bad):
+    import requests
+
+    server = make()
+    start_in_thread(server)
+    try:
+        statuses = [requests.post(url(server, path), json=body).status_code
+                    for body in (good, bad, good)]
+        assert statuses == [200, 400, 200]
+        for _ in range(2):  # a GET is not counted, by /stats or by request_count
+            stats = requests.get(url(server, "/stats")).json()
+            assert (stats["requests"], stats["errors"]) == (3, 1)
+            assert stats["busy_s"] > 0.0
+            assert server.request_count == 3
+        assert requests.get(url(server, "/nothing")).status_code == 404
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_server_bad_content_length_is_400(translator_server, length):
     import http.client
