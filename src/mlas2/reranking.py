@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from mlas2.dataset import SCORE, QuestionGroup, read_table
-from mlas2.wire import post_json
+from mlas2.wire import client_session, post_json
 
 
 class ScoringError(RuntimeError):
@@ -385,14 +385,12 @@ class RemoteScorer(TextPairScorer):
         batch_size: int = 128,
         session: requests.Session | None = None,
     ) -> None:
-        import requests  # loaded only by a client that sends requests
-
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.endpoint = endpoint
         self.max_seq_len = max_seq_len
         self.batch_size = batch_size
-        self._session = session or requests.Session()
+        self._session = client_session(endpoint, session)
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         out: list[float] = []

@@ -9,6 +9,7 @@ Both:       GET /stats -> ``{"requests","errors","busy_s"}``, the POSTs answered
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -28,7 +29,8 @@ class _CountingServer(ThreadingHTTPServer):
     """Counts the POSTs it answers: ``request_count`` from the moment each
     arrives, and its non-200 answers and the seconds spent answering it
     before the reply is sent, so ``GET /stats`` sees every POST whose reply
-    a client has read."""
+    a client has read. ``server_close`` also closes the kept-alive
+    connections still open, so a stopped server answers no one."""
 
     daemon_threads = True
 
@@ -38,6 +40,28 @@ class _CountingServer(ThreadingHTTPServer):
         self.error_count = 0
         self.busy_s = 0.0
         self._count_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._count_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._count_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._count_lock:
+            connections, self._open = self._open, set()
+        for conn in connections:
+            try:
+                # wakes a handler waiting for its client's next request
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its client has already gone
+                pass
 
     def count_request(self) -> None:
         with self._count_lock:
@@ -60,7 +84,16 @@ class _JsonHandler(BaseHTTPRequestHandler):
     parse a JSON body, and reply with ``answer(body) -> (status, payload)``; a body
     that is not JSON, is nested too deeply to parse, or that ``answer`` cannot
     read (``DatasetFormatError``) gets a 400. ``GET /stats`` answers with the
-    server's counts, and is not counted itself."""
+    server's counts, and is not counted itself.
+
+    Connections are kept alive (HTTP/1.1) after a POST answered 200, the one
+    answer sure to have read the whole request body; any other answer closes
+    the connection, so no unread body bytes are parsed as the next request."""
+
+    protocol_version = "HTTP/1.1"
+    # the headers and the body go out in two writes: with Nagle's algorithm
+    # the body would wait for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -84,6 +117,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if status != 200 or self.command != "POST":
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

@@ -24,7 +24,7 @@ from mlas2.dataset import (
     text_lines,
     validate_language,
 )
-from mlas2.wire import post_json
+from mlas2.wire import client_session, post_json
 
 
 class TranslationError(RuntimeError):
@@ -108,10 +108,8 @@ class HttpTranslator(Translator):
     by ``_batches``, and retries and errors follow ``mlas2.wire.post_json``."""
 
     def __init__(self, endpoint: str, *, session: requests.Session | None = None) -> None:
-        import requests  # loaded only by a client that sends requests
-
         self.endpoint = endpoint
-        self._session = session or requests.Session()
+        self._session = client_session(endpoint, session)
 
     def translate_batch(self, request: TranslationRequest) -> list[str]:
         out: list[str] = []

@@ -7,6 +7,9 @@ without a scheme), any other non-200 status, invalid JSON (including JSON
 nested too deeply to parse), or a body that is not a JSON object fails at
 once. Every failure is raised as the caller's typed ``error``, with the
 ``service`` name in its message.
+
+Each client sends through one ``requests.Session`` from ``client_session``,
+which keeps its connection alive and reads the environment once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,24 @@ import time
 ATTEMPTS = 3
 BACKOFF_S = 0.5
 TIMEOUT_S = 30.0
+
+
+def client_session(endpoint: str, session: requests.Session | None = None) -> requests.Session:
+    """``session`` as given, or a new one for POSTs to ``endpoint``. A new one
+    resolves the environment (proxies, ``REQUESTS_CA_BUNDLE`` / ``CURL_CA_BUNDLE``,
+    netrc auth) for ``endpoint`` now, with requests' own rules, and then stops
+    trusting it, so no POST reads ``os.environ`` again."""
+    if session is not None:
+        return session
+    import requests  # loaded only by a client that sends requests
+
+    session = requests.Session()
+    settings = session.merge_environment_settings(endpoint, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(endpoint)
+    session.trust_env = False
+    return session
 
 
 def post_json(

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -11,6 +12,10 @@ from conftest import make_dataset, make_group, make_synthetic_dataset, per_pair_
 from mlas2.experiment import evaluate_dataset
 from mlas2.reranking import RemoteScorer, ScoringError, StaticScorer
 from mlas2.servers import (
+    _CountingServer,
+    _ScorerHandler,
+    _ScorerServer,
+    _TranslatorHandler,
     load_pair_scores,
     make_scorer_server,
     make_translator_server,
@@ -23,6 +28,7 @@ from mlas2.translation import (
     TranslationError,
     TranslationRequest,
 )
+from mlas2.wire import client_session
 
 
 @pytest.fixture
@@ -303,6 +309,151 @@ def test_server_bad_content_length_is_400(translator_server, length):
         assert conn.getresponse().status == 400
     finally:
         conn.close()
+
+
+# ---------------------------------------------------------------------------
+# kept-alive connections and the environment
+# ---------------------------------------------------------------------------
+
+def _negative_length(session, server):
+    req = session.prepare_request(
+        requests.Request("POST", url(server, "/translate"), data=b'{"texts": []}')
+    )
+    req.headers["Content-Length"] = "-1"
+    return session.send(req, timeout=5)
+
+
+@pytest.mark.parametrize(
+    "bad_post, status",
+    [
+        (lambda session, server: session.post(
+            url(server, "/nowhere"), json={"src": "en", "tgt": "de", "texts": ["x"]}, timeout=5
+        ), 404),
+        (_negative_length, 400),
+        (lambda session, server: session.post(
+            url(server, "/translate"), data=b'{"texts": [', timeout=5
+        ), 400),
+    ],
+    ids=["wrong-path", "negative-length", "invalid-json"],
+)
+def test_unread_body_is_never_read_as_the_next_request(translator_server, bad_post, status):
+    # under keep-alive, the body of a POST answered before it was read would
+    # be parsed as the request line of the next POST on the same connection
+    with requests.Session() as session:
+        resp = bad_post(session, translator_server)
+        assert resp.status_code == status
+        assert resp.headers["Connection"] == "close"
+        good = session.post(
+            url(translator_server, "/translate"),
+            json={"src": "en", "tgt": "de", "texts": ["a b"]},
+            timeout=5,
+        )
+        assert good.status_code == 200
+        assert good.json() == {"texts": ["de:a de:b"]}
+
+
+def test_server_close_ends_kept_alive_connections(sleeps):
+    server = scorer_server(pair_scores={("q", "t"): 0.5})
+    scorer = RemoteScorer(url(server, "/score"))
+    assert scorer.score_pairs([("q", "t")]) == [0.5]
+    start = time.perf_counter()
+    server.shutdown()
+    server.server_close()
+    assert time.perf_counter() - start < 1.0
+    # the stopped server's handler no longer answers on the old connection
+    with pytest.raises(ScoringError, match="unreachable"):
+        scorer.score_pairs([("q", "t")])
+    assert sleeps == [0.5, 1.0]
+
+
+def connection_counting(server_cls, handler, **kwargs):
+    """A mock server that also counts the connections it accepts."""
+
+    class Counting(server_cls):
+        connections = 0
+
+        def process_request(self, request, client_address):
+            self.connections += 1
+            super().process_request(request, client_address)
+
+    server = Counting(("127.0.0.1", 0), handler, **kwargs)
+    start_in_thread(server)
+    return server
+
+
+@pytest.mark.parametrize("side", ["scorer", "translator"])
+def test_one_client_posts_over_one_connection(side):
+    if side == "scorer":
+        server = connection_counting(_ScorerServer, _ScorerHandler, pair_scores={("q", "t"): 0.5})
+        client = RemoteScorer(url(server, "/score"))
+
+        def post():
+            return client.score_pairs([("q", "t")]) == [0.5]
+    else:
+        server = connection_counting(_CountingServer, _TranslatorHandler)
+        client = HttpTranslator(url(server, "/translate"))
+
+        def post():
+            return client.translate_batch(TranslationRequest(["a"], "en", "de")) == ["de:a"]
+    try:
+        start = time.perf_counter()
+        assert all(post() for _ in range(50))
+        elapsed = time.perf_counter() - start
+        assert (server.request_count, server.connections) == (50, 1)
+        # an exchange stalled by Nagle's algorithm waits out a delayed ACK
+        # (~40 ms), so 50 of them would take 2 s or more
+        assert elapsed < 1.0
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_clients_read_the_proxy_environment_once_each(translator_server, monkeypatch):
+    calls = []
+    read_proxies = requests.sessions.get_environ_proxies  # the name Session calls
+
+    def counting(endpoint, *args, **kwargs):
+        calls.append(endpoint)
+        return read_proxies(endpoint, *args, **kwargs)
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
+    server = scorer_server(pair_scores={("q", "t"): 0.5})
+    try:
+        scorer_url, translator_url = url(server, "/score"), url(translator_server, "/translate")
+        scorer, translator = RemoteScorer(scorer_url), HttpTranslator(translator_url)
+        for _ in range(5):
+            assert scorer.score_pairs([("q", "t")]) == [0.5]
+            assert translator.translate_batch(TranslationRequest(["a"], "en", "de")) == ["de:a"]
+        assert calls == [scorer_url, translator_url]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_clients_honour_the_proxy_environment(translator_server, monkeypatch, sleeps):
+    # the mock translator stands in for the proxy: it answers the proxied
+    # request's absolute URL, not its own path, with a 404; a client that
+    # ignored the proxy would find nothing listening on port 1
+    for name in ("NO_PROXY", "no_proxy", "http_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{translator_server.server_port}")
+    with pytest.raises(ScoringError, match="scorer returned 404"):
+        RemoteScorer("http://127.0.0.1:1/score").score_pairs([("q", "t")])
+    assert translator_server.request_count == 1
+    assert sleeps == []
+
+
+def test_client_session_reads_ca_bundle_and_netrc_when_built(tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine scorer.example login user password secret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
+    session = client_session("https://scorer.example/score")
+    assert (session.auth, session.verify) == (("user", "secret"), str(tmp_path / "ca.pem"))
+    assert session.trust_env is False
+    given = requests.Session()
+    assert client_session("https://scorer.example/score", given) is given
+    assert given.trust_env is True
 
 
 # ---------------------------------------------------------------------------
