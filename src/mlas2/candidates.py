@@ -31,16 +31,14 @@ from mlas2.dataset import (
 )
 from mlas2.reranking import (
     IdfTable,
-    ScoringError,
     TermIndex,
-    TextPairScorer,
     Vectors,
     concat_ranges,
     cosines,
     norms,
-    order,
     tokenize,
 )
+from mlas2.scoring import ScoringError, TextPairScorer, order
 
 
 @dataclass(frozen=True)

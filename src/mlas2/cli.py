@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from mlas2 import algebra, candidates, servers
+from mlas2 import algebra
 from mlas2.algebra import CompositionParseError, MixAlignmentError
 from mlas2.dataset import (
     SCORE,
@@ -51,7 +51,7 @@ from mlas2.metrics import (
     judge,
     render_delta_table,
 )
-from mlas2.reranking import Scorer, ScoringError, rank
+from mlas2.scoring import Scorer, ScoringError, rank
 from mlas2.translation import TranslationError, Translator
 
 
@@ -152,6 +152,8 @@ def cmd_dataset_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_candidates_build(args) -> int:
+    from mlas2 import candidates  # numpy, loaded by the candidate commands only
+
     # the counts are checked before any input is read
     for name, value in (("k_docs", args.k_docs), ("k_sents", args.k_sents)):
         if value < 1:
@@ -174,6 +176,8 @@ def cmd_candidates_build(args) -> int:
 
 
 def cmd_candidates_annotate(args) -> int:
+    from mlas2 import candidates
+
     d = candidates.import_annotations(
         args.tasks,
         args.gold,
@@ -270,6 +274,8 @@ def cmd_experiment_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from mlas2 import servers
+
     if args.service == "mock-scorer":
         pair_scores = servers.load_pair_scores(args.scores) if args.scores else None
         server = servers.make_scorer_server(args.port, pair_scores=pair_scores)

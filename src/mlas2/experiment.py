@@ -44,15 +44,7 @@ from mlas2.metrics import (
     evaluate,
     judge,
 )
-from mlas2.reranking import (
-    LexicalScorer,
-    PairMemo,
-    RemoteScorer,
-    Scorer,
-    StaticScorer,
-    TermIndex,
-    rank,
-)
+from mlas2.scoring import PairMemo, RemoteScorer, Scorer, StaticScorer, rank
 from mlas2.translation import (
     CachingTranslator,
     HttpTranslator,
@@ -340,6 +332,8 @@ def build_scorer(
     them, reading texts through ``index`` when given, and the other kinds
     ignore both."""
     if spec.kind == "lexical":
+        from mlas2.reranking import LexicalScorer  # numpy, loaded by lexical runs only
+
         return LexicalScorer(texts, index)
     if spec.kind == "remote":
         return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
@@ -476,7 +470,11 @@ def run_experiment(
     fingerprints["dev"] = fingerprint_dataset(dev_data)
 
     # the run's lexical scorers tokenize each distinct text once, between them
-    index = TermIndex()
+    index = None
+    if config.scorer.kind == "lexical":
+        from mlas2.reranking import TermIndex
+
+        index = TermIndex()
 
     def scorer_for(data: Dataset) -> Scorer:
         return build_scorer(

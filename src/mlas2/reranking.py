@@ -1,35 +1,35 @@
-"""Candidate scoring and ranking.
+"""The tf-idf lexical scorer and the linear classification head: the scoring
+code that computes with numpy.
 
-Scorers assign each (question, candidate) pair a correctness probability in
-[0, 1]. ``Scorer.score_groups`` is the one scoring protocol: it scores a
-whole list of question groups per call, so a text-pair scorer sends every
-group's pairs in one ``score_pairs`` call. ``order`` sorts candidate ids by
-score with deterministic id tie-breaking, and ``rank`` scores a list of groups
-in one call and orders each.
-Backends: a tf-idf lexical baseline, a static score table, an HTTP client for
-remote models, and a linear classification head applied to externally
-produced embeddings.
+``TermIndex`` turns texts into term ids and counts, ``IdfTable`` weighs
+them, and ``cosines`` is the package's one lexical score; ``LexicalScorer``
+ranks texts with it. ``LinearHead`` applies a softmax layer to externally
+produced embeddings. The scoring protocol and the backends that need no
+numpy (static, remote, the pair memo) are in ``mlas2.scoring``; their names
+are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import reprlib
-from abc import ABC, abstractmethod
 from array import array
 from itertools import chain, count, filterfalse, islice
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from mlas2.dataset import SCORE, QuestionGroup, read_table
-from mlas2.wire import client_session, post_json
-
-
-class ScoringError(RuntimeError):
-    """A scorer backend failed or violated the scoring protocol."""
+# the protocol's names are re-exported, so they read the same from here
+from mlas2.scoring import (
+    PairMemo,
+    RemoteScorer,
+    Scorer,
+    ScoringError,
+    StaticScorer,
+    TextPairScorer,
+    order,
+    rank,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -280,36 +280,8 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scorer backends
+# lexical scorer
 # ---------------------------------------------------------------------------
-
-class Scorer(ABC):
-    """Assigns correctness probabilities to candidates, for a whole list of
-    question groups per call."""
-
-    @abstractmethod
-    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
-        """Each group's scores, in candidate order."""
-
-
-class TextPairScorer(Scorer):
-    """Scorer that only looks at the (question text, candidate text) pair."""
-
-    @abstractmethod
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        ...
-
-    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
-        """Score every group's pairs in one ``score_pairs`` call, then slice
-        the scores per group. A wrong total count is a ``ScoringError``, never
-        a truncation."""
-        pairs = [(g.question.text, c.text) for g in groups for c in g.candidates]
-        scores = self.score_pairs(pairs)
-        if len(scores) != len(pairs):
-            raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
-        rest = iter(scores)
-        return [list(islice(rest, len(g.candidates))) for g in groups]
-
 
 class LexicalScorer(TextPairScorer):
     """Tf-idf cosine over an idf table built from ``texts``, the texts it
@@ -344,104 +316,6 @@ class LexicalScorer(TextPairScorer):
 # pairs scored per ``cosines`` call: a larger block gathers more texts at once
 # and raises the peak memory of a run
 _BLOCK_PAIRS = 1024
-
-
-class StaticScorer(Scorer):
-    """Scores looked up from a (question id, candidate id) table."""
-
-    def __init__(self, table: dict[tuple[str, str], float]) -> None:
-        for key, score in table.items():
-            if not 0.0 <= score <= 1.0:
-                raise ScoringError(f"score for {key!r} outside [0, 1]: {score}")
-        self.table = dict(table)
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "StaticScorer":
-        """Load a JSONL file of ``{"qid":str,"cid":str,"score":float}`` records."""
-        return cls(read_table(path, "score", ("qid", "cid"), "score", SCORE))
-
-    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
-        try:
-            return [[self.table[g.question.id, c.id] for c in g.candidates] for g in groups]
-        except KeyError as exc:
-            raise ScoringError(f"no static score for question/candidate {exc.args[0]!r}") from None
-
-
-class RemoteScorer(TextPairScorer):
-    """HTTP client for the scoring protocol.
-
-    Request: ``{"max_seq_len":int,"pairs":[{"q":str,"t":str},...]}``;
-    response: ``{"scores":[float,...]}`` with status 200. Pairs are sent in
-    chunks of ``batch_size``; responses are validated (count, JSON number,
-    range) and reassembled in input order — a short response is an error,
-    never a silent truncation.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        max_seq_len: int = 128,
-        batch_size: int = 128,
-        session: requests.Session | None = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.endpoint = endpoint
-        self.max_seq_len = max_seq_len
-        self.batch_size = batch_size
-        self._session = client_session(endpoint, session)
-
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        out: list[float] = []
-        for start in range(0, len(pairs), self.batch_size):
-            out.extend(self._send(pairs[start : start + self.batch_size]))
-        return out
-
-    def _send(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        body = post_json(
-            self._session,
-            self.endpoint,
-            {"max_seq_len": self.max_seq_len, "pairs": [{"q": q, "t": t} for q, t in pairs]},
-            error=ScoringError,
-            service="scorer",
-        )
-        scores = body.get("scores")
-        if not isinstance(scores, list) or not all(map(SCORE.test, scores)):
-            raise ScoringError(
-                f"scorer returned no scores, a non-number or a score outside [0, 1]: "
-                f"{reprlib.repr(scores)}"
-            )
-        if len(scores) != len(pairs):
-            raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
-        return [float(s) for s in scores]
-
-
-class PairMemo(TextPairScorer):
-    """A text-pair scorer with a memo of the pairs it has scored: each call
-    hands ``scorer`` only the distinct pairs the memo lacks, in first-seen
-    order and in one ``score_pairs`` call, and returns every requested score
-    from the memo, in input order.
-
-    Sound only for a scorer that scores each pair independently of the other
-    pairs it is given, as the remote scoring protocol requires; a lexical
-    scorer's scores depend on its idf table. The memo is ``{q: {t: score}}``,
-    so it keeps the texts but no call's pair tuples alive."""
-
-    def __init__(self, scorer: TextPairScorer) -> None:
-        self.scorer = scorer
-        self._scores: dict[str, dict[str, float]] = {}
-
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        memo = self._scores
-        fresh = list(dict.fromkeys(p for p in pairs if p[1] not in memo.get(p[0], ())))
-        if fresh:
-            scores = self.scorer.score_pairs(fresh)
-            if len(scores) != len(fresh):
-                raise ScoringError(f"scorer returned {len(scores)} scores for {len(fresh)} pairs")
-            for (q, t), score in zip(fresh, scores):
-                memo.setdefault(q, {})[t] = score
-        return [memo[q][t] for q, t in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +361,3 @@ def linear_head_apply(x, head: LinearHead) -> float:
     if not np.isfinite(p).all():
         raise ValueError("softmax produced non-finite probabilities")
     return float(p[1])
-
-
-# ---------------------------------------------------------------------------
-# ranking
-# ---------------------------------------------------------------------------
-
-def order(ids: Sequence[str], scores: Sequence[float]) -> list[tuple[str, float]]:
-    """Pair candidate ids with their scores, best first; ties break by id
-    ascending, so the result is deterministic and permutation-invariant."""
-    if len(scores) != len(ids):
-        raise ScoringError(f"scorer returned {len(scores)} scores for {len(ids)} candidates")
-    return sorted(zip(ids, map(float, scores)), key=lambda item: (-item[1], item[0]))
-
-
-def rank(groups: Sequence[QuestionGroup], scorer: Scorer) -> list[list[tuple[str, float]]]:
-    """Score every group in one ``score_groups`` call and ``order`` each
-    group's candidates; a group without candidates ranks as ``[]``."""
-    scores = scorer.score_groups(groups)
-    if len(scores) != len(groups):
-        raise ScoringError(f"scorer returned scores for {len(scores)} groups, not {len(groups)}")
-    return [order([c.id for c in g.candidates], s) for g, s in zip(groups, scores)]

@@ -16,7 +16,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from mlas2.dataset import SCORE, TEXT, TEXTS, DatasetFormatError, FieldKind, read_fields, read_table
-from mlas2.reranking import LexicalScorer
 from mlas2.translation import mock_translate
 
 
@@ -88,9 +87,12 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
     Connections are kept alive (HTTP/1.1) after a POST answered 200, the one
     answer sure to have read the whole request body; any other answer closes
-    the connection, so no unread body bytes are parsed as the next request."""
+    the connection, so no unread body bytes are parsed as the next request.
+    A connection that sends nothing for ``timeout`` seconds is closed, so an
+    idle client stops holding a handler thread."""
 
     protocol_version = "HTTP/1.1"
+    timeout = 30.0
     # the headers and the body go out in two writes: with Nagle's algorithm
     # the body would wait for the client's delayed ACK of the headers
     disable_nagle_algorithm = True
@@ -178,6 +180,8 @@ class _ScorerHandler(_JsonHandler):
         table = self.server.pair_scores
         if table is None:
             # zero-config mode: tf-idf over the candidate texts of this request
+            from mlas2.reranking import LexicalScorer  # numpy, loaded by this mode only
+
             scorer = LexicalScorer(t for _, t in qt)
             return 200, {"scores": scorer.score_pairs(qt)}
         missing = next((key for key in qt if key not in table), None)

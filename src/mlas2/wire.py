@@ -1,8 +1,9 @@
 """The one JSON-POST client behind the HTTP translator and the remote scorer.
 
 Policy: up to ``ATTEMPTS`` tries per request. Failures a retry can cure (a
-failed connection, a timeout, a 5xx response) are retried after ``BACKOFF_S``
-seconds, doubling each time. Any other request error (such as an endpoint
+failed connection, including one that ends a reply before its whole body
+came, a timeout, a 5xx response) are retried after ``BACKOFF_S`` seconds,
+doubling each time. Any other request error (such as an endpoint
 without a scheme), any other non-200 status, invalid JSON (including JSON
 nested too deeply to parse), or a body that is not a JSON object fails at
 once. Every failure is raised as the caller's typed ``error``, with the
@@ -57,6 +58,10 @@ def post_json(
             resp = session.post(endpoint, json=payload, timeout=TIMEOUT_S)
         except (requests.ConnectionError, requests.Timeout) as exc:
             failure = error(f"{service} unreachable: {exc}")
+            continue
+        except requests.exceptions.ChunkedEncodingError as exc:
+            # requests' name for a reply body cut short, chunked or not
+            failure = error(f"{service} reply cut short: {exc}")
             continue
         except requests.RequestException as exc:
             raise error(f"{service} request failed: {exc}") from exc

@@ -194,13 +194,14 @@ def test_deeply_nested_line_exits_2_without_traceback(tmp_path):
 
 def test_importing_the_cli_loads_no_http_client():
     # only an HTTP translator or a remote scorer sends a request, so only
-    # they import `requests`, which every command would otherwise load
+    # they import `requests`, which every command would otherwise load; and
+    # only the commands that compute with numpy import it
     env = {**os.environ, "PYTHONPATH": str(Path(mlas2.__file__).parents[1])}
-    code = "import sys, mlas2.cli; print('requests' in sys.modules)"
+    code = "import sys, mlas2.cli; print('requests' in sys.modules, 'numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "False False\n")
 
 
 def test_compose_rejects_null_text_instead_of_writing_none(capsys, tmp_path):

@@ -1,5 +1,8 @@
 import json
 import math
+import socket
+import socketserver
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -13,6 +16,7 @@ from mlas2.experiment import evaluate_dataset
 from mlas2.reranking import RemoteScorer, ScoringError, StaticScorer
 from mlas2.servers import (
     _CountingServer,
+    _JsonHandler,
     _ScorerHandler,
     _ScorerServer,
     _TranslatorHandler,
@@ -28,7 +32,7 @@ from mlas2.translation import (
     TranslationError,
     TranslationRequest,
 )
-from mlas2.wire import client_session
+from mlas2.wire import ATTEMPTS, client_session
 
 
 @pytest.fixture
@@ -364,6 +368,91 @@ def test_server_close_ends_kept_alive_connections(sleeps):
     with pytest.raises(ScoringError, match="unreachable"):
         scorer.score_pairs([("q", "t")])
     assert sleeps == [0.5, 1.0]
+
+
+class _CutShortHandler(socketserver.StreamRequestHandler):
+    """Reads one POST of pairs and answers it in raw bytes: while the server
+    has ``cuts`` left, a 200 whose body the connection closes halfway
+    through; then a whole reply. The server counts the POSTs."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        pairs = json.loads(self.rfile.read(length))["pairs"]
+        self.server.posts += 1
+        data = json.dumps({"scores": [0.5] * len(pairs)}).encode()
+        head = f"HTTP/1.1 200 OK\r\nContent-Length: {len(data)}\r\n".encode()
+        if self.server.cuts > 0:
+            self.server.cuts -= 1
+            self.wfile.write(head + b"\r\n" + data[: len(data) // 2])
+        else:
+            self.wfile.write(head + b"Connection: close\r\n\r\n" + data)
+
+
+def cutting_server(cuts):
+    # an HTTP server class only for its bind and port; the handler speaks raw bytes
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CutShortHandler)
+    server.cuts, server.posts = cuts, 0
+    start_in_thread(server)
+    return server
+
+
+def test_a_reply_cut_short_is_retried(sleeps):
+    # requests raises a body cut short as ChunkedEncodingError, which failed
+    # at once as "request failed" instead of being retried
+    server = cutting_server(cuts=1)
+    try:
+        scorer = RemoteScorer(url(server, "/score"))
+        assert scorer.score_pairs([("q", "a"), ("q", "b")]) == [0.5, 0.5]
+        assert (server.posts, sleeps) == (2, [0.5])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_replies_always_cut_short_give_the_typed_error(sleeps):
+    server = cutting_server(cuts=ATTEMPTS)
+    try:
+        with pytest.raises(ScoringError, match="scorer reply cut short"):
+            RemoteScorer(url(server, "/score")).score_pairs([("q", "a")])
+        assert (server.posts, sleeps) == (ATTEMPTS, [0.5, 1.0])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_closes_an_idle_connection(monkeypatch):
+    assert isinstance(_JsonHandler.timeout, float) and _JsonHandler.timeout > 0
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
+    server = scorer_server(pair_scores={("q", "t"): 0.5})
+    try:
+        with socket.create_connection(("127.0.0.1", server.server_port), timeout=10) as sock:
+            assert sock.recv(1) == b""  # closed by the server, long before 10 s
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_posts_again_after_its_idle_connection_was_closed(monkeypatch, sleeps):
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.2)
+    server = connection_counting(_ScorerServer, _ScorerHandler, pair_scores={("q", "t"): 0.5})
+    try:
+        scorer = RemoteScorer(url(server, "/score"))
+        assert scorer.score_pairs([("q", "t")]) == [0.5]
+        # `sleeps` stands in for time.sleep, so wait on an event instead
+        deadline = time.perf_counter() + 10
+        while server._open and time.perf_counter() < deadline:
+            threading.Event().wait(0.01)
+        assert not server._open
+        threading.Event().wait(0.05)  # from forgetting the socket to closing it
+        assert scorer.score_pairs([("q", "t")]) == [0.5]
+        assert (server.request_count, server.connections, sleeps) == (2, 2, [])
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def connection_counting(server_cls, handler, **kwargs):

@@ -130,3 +130,38 @@ def test_only_the_term_index_builds_term_id_entries():
         and node.name in ("_add_entries", "_Numbering")
     ]
     assert found == []
+
+
+def _import_time_imports(tree: ast.Module):
+    """``(line, module)`` for each import a module runs when it is imported:
+    those outside function bodies. ``from mlas2 import x`` names ``mlas2.x``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "mlas2":
+                yield from ((node.lineno, f"mlas2.{a.name}") for a in node.names)
+            else:
+                yield node.lineno, node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_and_the_heavy_modules_load_only_where_they_are_used():
+    # a process loads numpy only when its command computes with it: only the
+    # tf-idf code and the candidate corpus import it as they load, and the
+    # modules that import them do so inside the functions that use them
+    numpy_users = {"reranking.py", "candidates.py"}
+    heavy = {"mlas2.reranking", "mlas2.candidates", "mlas2.servers"}
+    allowed = {("candidates.py", "mlas2.reranking")}
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, module in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if (module.split(".")[0] == "numpy" and path.name not in numpy_users)
+        or (module in heavy and (path.name, module) not in allowed)
+    ]
+    assert found == []
