@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from mlas2.dataset import Dataset, QuestionGroup, _copy, _group, validate_language
+from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup, validate_language
 from mlas2.translation import TranslationError, TranslationRequest, Translator
 
 
@@ -135,27 +135,31 @@ def transfer(d: Dataset, translator: Translator, target: str) -> Dataset:
             )
         translated[src] = iter(out)
 
+    # translations are taken in the order the jobs were queued: each group's
+    # question, then its candidates
     def move(record):
         if record.language == target:
             return record
-        return _copy(
-            record,
-            text=next(translated[record.language]),
-            provenance=record.provenance + (target,),
-        )
+        text, chain = next(translated[record.language]), record.provenance + (target,)
+        if type(record) is Question:
+            return Question(record.id, record.origin_id, text, chain)
+        return AnswerCandidate(record.id, record.origin_id, text, record.label, chain)
 
     groups = tuple(
-        _group(move(g.question), tuple(move(c) for c in g.candidates)) for g in d.groups
+        QuestionGroup(move(g.question), tuple(map(move, g.candidates))) for g in d.groups
     )
     return Dataset(f"{d.name}->{target}", d.split, groups)
 
 
-def _check_unique(values: list[str], what: str) -> None:
-    seen: set[str] = set()
-    for v in values:
-        if v in seen:
-            raise MixAlignmentError(f"duplicate {what} origin_id {v!r}")
-        seen.add(v)
+def _by_origin(items: Iterable[tuple[str, object]], what: str) -> dict:
+    """A dict, in order, from each ``(origin_id, item)`` pair's origin id to
+    its item; a repeated origin id raises MixAlignmentError."""
+    by_origin = {}
+    for origin, item in items:
+        if origin in by_origin:
+            raise MixAlignmentError(f"duplicate {what} origin_id {origin!r}")
+        by_origin[origin] = item
+    return by_origin
 
 
 def mix(d_q: Dataset, d_t: Dataset) -> Dataset:
@@ -165,34 +169,25 @@ def mix(d_q: Dataset, d_t: Dataset) -> Dataset:
     origin-id sets have to match exactly. Each output group holds its
     ``d_t`` partner's candidates tuple as it is, labels included.
     """
-    _check_unique([g.question.origin_id for g in d_q.groups], "question")
-    _check_unique([g.question.origin_id for g in d_t.groups], "question")
-    by_origin = {g.question.origin_id: g for g in d_t.groups}
-    for g in d_q.groups:
-        if g.question.origin_id not in by_origin:
-            raise MixAlignmentError(
-                f"question origin_id {g.question.origin_id!r} missing from {d_t.name!r}"
-            )
-    if len(d_t.groups) != len(d_q.groups):
-        extra = next(
-            g.question.origin_id
-            for g in d_t.groups
-            if g.question.origin_id not in {h.question.origin_id for h in d_q.groups}
-        )
+    q_groups = _by_origin(((g.question.origin_id, g) for g in d_q.groups), "question")
+    t_groups = _by_origin(((g.question.origin_id, g) for g in d_t.groups), "question")
+    if q_groups.keys() != t_groups.keys():
+        for origin in q_groups:
+            if origin not in t_groups:
+                raise MixAlignmentError(f"question origin_id {origin!r} missing from {d_t.name!r}")
+        extra = next(o for o in t_groups if o not in q_groups)
         raise MixAlignmentError(f"question origin_id {extra!r} missing from {d_q.name!r}")
 
     groups = []
-    for g in d_q.groups:
-        partner = by_origin[g.question.origin_id]
-        q_origins = [c.origin_id for c in g.candidates]
-        t_origins = [c.origin_id for c in partner.candidates]
-        _check_unique(q_origins, "candidate")
-        _check_unique(t_origins, "candidate")
-        if set(q_origins) != set(t_origins):
-            missing = next(o for o in q_origins + t_origins if o not in set(q_origins) & set(t_origins))
+    for origin, g in q_groups.items():
+        partner = t_groups[origin]
+        q_cands = _by_origin(((c.origin_id, c) for c in g.candidates), "candidate")
+        t_cands = _by_origin(((c.origin_id, c) for c in partner.candidates), "candidate")
+        if q_cands.keys() != t_cands.keys():
+            missing = next(o for o in [*q_cands, *t_cands] if o not in q_cands or o not in t_cands)
             raise MixAlignmentError(
                 f"candidate origin_id {missing!r} not shared by both operands "
-                f"(question {g.question.origin_id!r})"
+                f"(question {origin!r})"
             )
         groups.append(QuestionGroup(g.question, partner.candidates))
     return Dataset(f"mix({d_q.name},{d_t.name})", d_q.split, tuple(groups))
@@ -207,8 +202,13 @@ def concat_many(datasets: list[Dataset]) -> Dataset:
     groups = []
     for k, d in enumerate(datasets):
         for g in d.groups:
-            q = _copy(g.question, id=f"{g.question.id}#{k}")
-            groups.append(_group(q, tuple(_copy(c, id=f"{c.id}#{k}") for c in g.candidates)))
+            q = g.question
+            q = Question(f"{q.id}#{k}", q.origin_id, q.text, q.provenance)
+            cands = tuple(
+                AnswerCandidate(f"{c.id}#{k}", c.origin_id, c.text, c.label, c.provenance)
+                for c in g.candidates
+            )
+            groups.append(QuestionGroup(q, cands))
     name = "+".join(d.name for d in datasets)
     return Dataset(name, datasets[0].split, tuple(groups))
 

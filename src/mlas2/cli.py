@@ -246,9 +246,12 @@ def cmd_evaluate(args) -> int:
         )
     else:
         report = evaluate_dataset(d, _scorer(args, d.candidate_texts()), test_set=name)
-    _emit(report.to_json_dict())
+    outputs = [report]
     if base is not None:
-        _emit(delta_report(base, report, baseline_name=base.test_set or args.baseline).to_json_dict())
+        # before anything is emitted: a delta that fails leaves stdout empty
+        outputs.append(delta_report(base, report, baseline_name=base.test_set or args.baseline))
+    for output in outputs:
+        _emit(output.to_json_dict())
     return 0
 
 

@@ -16,7 +16,7 @@ import reprlib
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 SPLITS = ("train", "dev", "test")
 
@@ -34,6 +34,13 @@ def validate_language(code: str) -> str:
     return code
 
 
+# The provenance chains found valid so far: records share few chains, so each
+# distinct chain is checked once per process. An invalid chain is never added,
+# and past the cap no chain is, so no input grows the set without limit.
+_VALID_CHAINS: set[tuple[str, ...]] = set()
+_VALID_CHAINS_CAP = 1024
+
+
 class _Text:
     """A text record's provenance: the nonempty chain of languages the text
     passed through. Its last hop is the language the text is in."""
@@ -41,11 +48,20 @@ class _Text:
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        if not self.provenance:
+        if type(self.provenance) is not tuple:
+            object.__setattr__(self, "provenance", tuple(self.provenance))
+        chain = self.provenance
+        try:
+            if chain in _VALID_CHAINS:
+                return
+        except TypeError:  # an unhashable hop, which the check below rejects
+            pass
+        if not chain:
             raise ValueError("provenance chain must be nonempty")
-        for hop in self.provenance:
+        for hop in chain:
             validate_language(hop)
+        if len(_VALID_CHAINS) < _VALID_CHAINS_CAP:
+            _VALID_CHAINS.add(chain)
 
     @property
     def language(self) -> str:
@@ -89,31 +105,6 @@ class QuestionGroup:
             if cand.id in seen:
                 raise ValueError(f"duplicate candidate id {cand.id!r} in group {self.question.id!r}")
             seen.add(cand.id)
-
-
-# Trusted builders for the algebra's copies of records already checked: a
-# re-keyed id keeps ids unique, a transfer appends a target it validated, and
-# labels never change, so the constructors' checks would only repeat. Fields
-# are set one by one, as the constructors set them, which keeps the instance
-# dicts compact.
-
-_R = TypeVar("_R", Question, AnswerCandidate)
-
-
-def _copy(record: _R, **changes: object) -> _R:
-    """``dataclasses.replace(record, **changes)`` without the checks."""
-    new = object.__new__(type(record))
-    for name in record.__dataclass_fields__:
-        object.__setattr__(new, name, changes[name] if name in changes else getattr(record, name))
-    return new
-
-
-def _group(question: Question, candidates: tuple[AnswerCandidate, ...]) -> QuestionGroup:
-    """``QuestionGroup(question, candidates)`` without the unique-id check."""
-    group = object.__new__(QuestionGroup)
-    object.__setattr__(group, "question", question)
-    object.__setattr__(group, "candidates", candidates)
-    return group
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ ranking has at least one positive; filter unanswerable questions out first
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import reduce
 from operator import add
 from typing import Sequence
@@ -146,9 +147,10 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 def round_half_away_from_zero(value: float, ndigits: int = 1) -> float:
-    """Round with ties going away from zero (unlike banker's rounding)."""
+    """Round a finite value with ties going away from zero (unlike banker's
+    rounding), exactly: a double's integer part has at most 309 digits."""
     q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(q, ROUND_HALF_UP, Context(prec=310 + ndigits)))
 
 
 @dataclass(frozen=True)
@@ -191,19 +193,22 @@ def delta_report(
     name: str | None = None,
     baseline_name: str | None = None,
 ) -> DeltaReport:
-    """Percent change of each metric relative to the baseline report."""
+    """Percent change of each metric relative to the baseline report; a
+    baseline with no finite change (not positive, or tiny) raises ValueError."""
 
-    def pct(base: float, value: float) -> float:
-        if base <= 0.0:
-            raise ValueError(f"baseline metric must be positive, got {base}")
-        return round_half_away_from_zero(100.0 * (value - base) / base)
+    def pct(metric: str) -> float:
+        base = getattr(baseline, metric)
+        change = 100.0 * (getattr(run, metric) - base) / base if base > 0.0 else math.nan
+        if not math.isfinite(change):
+            raise ValueError(f"baseline {metric} must be positive and not tiny, got {base!r}")
+        return round_half_away_from_zero(change)
 
     return DeltaReport(
         name=name if name is not None else run.test_set,
         baseline=baseline_name if baseline_name is not None else baseline.test_set,
-        p_at_1_pct=pct(baseline.p_at_1, run.p_at_1),
-        map_pct=pct(baseline.map, run.map),
-        mrr_pct=pct(baseline.mrr, run.mrr),
+        p_at_1_pct=pct("p_at_1"),
+        map_pct=pct("map"),
+        mrr_pct=pct("mrr"),
     )
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from mlas2.dataset import (
     save_dataset,
     validate_dataset,
 )
-from mlas2.translation import MockTranslator
+from mlas2.translation import MockTranslator, mock_translate
 
 from test_translation import CountingTranslator
 
@@ -196,9 +198,45 @@ def test_mix_reports_first_missing_origin(tiny_dataset):
         mix(smaller, tiny_dataset)
 
 
-def test_mix_rejects_duplicate_origin():
-    from dataclasses import replace
+def one_question_per_origin(origins, name):
+    return make_dataset([make_group(o, "q", []) for o in origins], name=name)
 
+
+@pytest.mark.parametrize("n", [3, 20_000])
+def test_mix_names_the_unmatched_question_in_linear_time(n):
+    # each missing-from-d_q check rebuilt d_q's origin set: 4 s at 8,000 groups
+    origins = [f"o{i}" for i in range(n)]
+    more = one_question_per_origin([*origins, "extra"], "More")
+    fewer = one_question_per_origin(origins, "Fewer")
+    start = time.perf_counter()
+    with pytest.raises(MixAlignmentError) as info:
+        mix(fewer, more)
+    assert str(info.value) == "question origin_id 'extra' missing from 'Fewer'"
+    with pytest.raises(MixAlignmentError) as info:
+        mix(more, fewer)
+    assert str(info.value) == "question origin_id 'extra' missing from 'Fewer'"
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("n", [3, 20_000])
+def test_mix_names_the_unshared_candidate_in_linear_time(n):
+    # each element looked at rebuilt both operands' shared set
+    d_q = make_dataset([make_group("q", "q", [(f"t{i}", 0) for i in range(n)])])
+    g = d_q.groups[0]
+    renamed = replace(g.candidates[-1], origin_id="other")
+    d_t = make_dataset([replace(g, candidates=(*g.candidates[:-1], renamed))])
+    start = time.perf_counter()
+    for operands in [(d_q, d_t), (d_t, d_q)]:
+        with pytest.raises(MixAlignmentError) as info:
+            mix(*operands)
+        missing = f"qc{n - 1}" if operands[0] is d_q else "other"
+        assert str(info.value) == (
+            f"candidate origin_id {missing!r} not shared by both operands (question 'q')"
+        )
+    assert time.perf_counter() - start < 5.0
+
+
+def test_mix_rejects_duplicate_origin():
     g1 = make_group("q1", "question one", [("a", 1)])
     g2 = make_group("q2", "question two", [("b", 0)])
     # two groups sharing a question origin_id make the join ambiguous
@@ -208,8 +246,6 @@ def test_mix_rejects_duplicate_origin():
 
 
 def test_mix_rejects_mismatched_candidates(tiny_dataset):
-    from dataclasses import replace
-
     other = transfer(tiny_dataset, MockTranslator(), "de")
     g0 = other.groups[0]
     changed = replace(
@@ -330,7 +366,7 @@ def test_materialize_caches_transfers(tiny_dataset):
 
 
 # ---------------------------------------------------------------------------
-# trusted copies
+# composed records
 # ---------------------------------------------------------------------------
 
 _LANGS = ["en", "de", "fr"]
@@ -354,6 +390,10 @@ def sources(draw):
         )
         groups.append(QuestionGroup(Question(qid, qid, draw(texts), draw(hops)), cands))
     return Dataset("En", "test", tuple(groups))
+
+
+def all_records(d):
+    return [r for g in d.groups for r in (g.question, *g.candidates)]
 
 
 def assert_as_if_constructed(out):
@@ -380,6 +420,13 @@ def assert_as_if_constructed(out):
 )
 def test_algebra_outputs_equal_their_checked_construction(d, target, terms):
     t = transfer(d, MockTranslator(), target)
+    # each record's translation is its own text's, whatever the languages
+    # around it in the dataset
+    for before, after in zip(all_records(d), all_records(t)):
+        want = before.text
+        if before.language != target:
+            want = mock_translate(before.text, before.language, target)
+        assert after.text == want
     plan = CompositionExpr(tuple(CompositionTerm(q, c) for q, c in terms))
     for out in (
         t, mix(d, t), mix(t, d), concat_many([d, t, d]), materialize(plan, d, MockTranslator())
@@ -387,25 +434,33 @@ def test_algebra_outputs_equal_their_checked_construction(d, target, terms):
         assert_as_if_constructed(out)
 
 
-def test_materialize_copies_records_without_rechecking_them(tmp_path, monkeypatch):
-    # the views are memoized, so the composition is all copies of records
-    # already checked when the source was loaded: none is checked again
+def test_materialize_checks_every_record_it_builds_and_each_chain_once(tmp_path, monkeypatch):
+    # the views are memoized, so the composition is all re-keyed copies: each
+    # goes through its checked constructor, and each distinct provenance
+    # chain is validated once, hop by hop
     path = tmp_path / "source.jsonl"
     save_dataset(make_synthetic_dataset(num_questions=5, cands_per_question=3), path)
     source = load_dataset(path, "test")
     plan = parse_composition("En+EnDe+De+DeEn")
     views = {}
     materialize(plan, source, MockTranslator(), views)
-    checked = []
-    original = dataset._Text.__post_init__
+    checked, hops = [], []
+    check, validate = dataset._Text.__post_init__, dataset.validate_language
 
     def counting(self):
         checked.append(self)
-        original(self)
+        check(self)
 
+    def validating(code):
+        hops.append(code)
+        return validate(code)
+
+    monkeypatch.setattr(dataset, "_VALID_CHAINS", set())
     monkeypatch.setattr(dataset._Text, "__post_init__", counting)
+    monkeypatch.setattr(dataset, "validate_language", validating)
     out = materialize(plan, source, MockTranslator(), views)
-    assert len(checked) == 0
-    assert out.num_candidates() == 4 * 15
-    Question("q", "q", "text", ("en",))
-    assert len(checked) == 1  # the count sees a public construction
+    records = all_records(out)
+    assert len(records) == 4 * (5 + 15)
+    assert [id(r) for r in checked] == [id(r) for r in records]
+    assert sorted(hops) == ["de", "en", "en"]
+    assert dataset._VALID_CHAINS == {("en",), ("en", "de")}

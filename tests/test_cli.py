@@ -625,6 +625,35 @@ def test_evaluate_zero_metric_baseline_exits_2_before_any_output(capsys, fixture
     assert f"{base_path}: test 'x': baseline p_at_1 must be positive, got 0.0" in err
 
 
+def evaluate_against_tiny_baseline(capsys, fixture_path, tmp_path, tiny):
+    """Evaluate perfect scores (P@1 1.0) against a baseline P@1 of ``tiny``."""
+    scores = perfect_scores_path(tmp_path, load_dataset(fixture_path, "train"))
+    base_path = tmp_path / "baseline.json"
+    base_path.write_text(json.dumps({"test": "x", "n": 2, "p_at_1": tiny, "map": 0.5, "mrr": 0.5}))
+    return run(
+        capsys, "evaluate", fixture_path, "--scorer", "static", "--scores", scores,
+        "--baseline", base_path,
+    )
+
+
+def test_evaluate_against_a_tiny_baseline_metric_reports_its_delta(capsys, fixture_path, tmp_path):
+    # quantized in 28 digits, a change of 1e32 percent ended in a traceback
+    code, out, err = evaluate_against_tiny_baseline(capsys, fixture_path, tmp_path, 1e-30)
+    assert (code, err) == (0, "")
+    delta = json.loads(out.splitlines()[1])
+    assert delta["p_at_1_pct"] == 100.0 * (1.0 - 1e-30) / 1e-30
+    assert (delta["map_pct"], delta["mrr_pct"]) == (100.0, 100.0)
+
+
+def test_evaluate_against_a_subnormal_baseline_metric_exits_2_before_any_output(
+    capsys, fixture_path, tmp_path
+):
+    # the relative change overflows to infinity, which has no percent to print
+    code, out, err = evaluate_against_tiny_baseline(capsys, fixture_path, tmp_path, 5e-324)
+    assert (code, out) == (2, "")
+    assert err == "mlas2: error: baseline p_at_1 must be positive and not tiny, got 5e-324\n"
+
+
 @pytest.mark.parametrize(
     "text", ["[" * 200_000 + "]" * 200_000, "{broken"], ids=["nested-too-deeply", "invalid"]
 )
@@ -921,6 +950,39 @@ def test_experiment_run_batch_size_0_exits_2(capsys, tmp_path):
     assert out == ""
     assert "config.json: bad config" in err and "batch_size must be >= 1" in err
     assert not runs.exists()
+
+
+@pytest.mark.parametrize("tiny", [1e-30, 5e-324], ids=["tiny", "subnormal"])
+def test_experiment_run_against_a_tiny_baseline_metric(capsys, tmp_path, tiny):
+    # a baseline record whose P@1 is 1e-30 ended in a decimal traceback; a
+    # subnormal one overflows the relative change, which fails the run
+    d = make_dataset([make_group("q1", "where do cats sleep", [("cats sleep", 1), ("sun", 0)])])
+    save_dataset(d, tmp_path / "src.jsonl")
+    config = {
+        "run_name": "base",
+        "source": {"train": "src.jsonl", "dev": "src.jsonl", "test": "src.jsonl"},
+        "ft_expr": "En",
+        "dev_expr": "En",
+        "test_exprs": ["En"],
+        "scorer": {"kind": "lexical"},
+    }
+    config_path, runs = tmp_path / "config.json", tmp_path / "runs"
+    config_path.write_text(json.dumps(config))
+    assert run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)[0] == 0
+    record = json.loads((runs / "base.json").read_text())
+    assert record["reports"][0]["p_at_1"] == 1.0
+    record["reports"][0]["p_at_1"] = tiny
+    (runs / "base.json").write_text(json.dumps(record))
+    config_path.write_text(json.dumps({**config, "run_name": "next", "baseline_run": "base"}))
+    code, out, err = run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)
+    if tiny == 1e-30:
+        assert code == 0
+        assert json.loads(out)["deltas"][0]["p_at_1_pct"] == 100.0 * (1.0 - tiny) / tiny
+        assert (runs / "next.json").exists()
+    else:
+        assert (code, out) == (2, "")
+        assert err == "mlas2: error: baseline p_at_1 must be positive and not tiny, got 5e-324\n"
+        assert not (runs / "next.json").exists()
 
 
 def test_experiment_run_cli(capsys, tmp_path):

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlas2 import dataset
 from mlas2.dataset import (
     SCORE,
     SPLITS,
@@ -76,6 +79,56 @@ def test_provenance_must_be_nonempty_valid_codes():
         Question("q1", "q1", "text", ())
     with pytest.raises(ValueError, match="language code"):
         AnswerCandidate("c1", "c1", "text", 0, ("en", "DE"))
+
+
+def accepted_by_the_rule(chain) -> bool:
+    """The provenance rule itself, with no memo: a nonempty chain of
+    2-8 lowercase ASCII letters per hop."""
+    return len(chain) > 0 and all(
+        isinstance(hop, str) and re.fullmatch("[a-z]{2,8}", hop) for hop in chain
+    )
+
+
+_HOPS = st.one_of(
+    st.sampled_from(["en", "de", "fr"]),
+    st.text(st.sampled_from("abDE1-"), max_size=9),
+    st.none(),
+    st.integers(),
+    st.lists(st.sampled_from(["en", "de"]), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=st.lists(_HOPS, max_size=4), container=st.sampled_from([tuple, list]))
+def test_a_chain_is_accepted_exactly_when_the_rule_accepts_it(chain, container):
+    # each chain is built twice, so the second build meets the memo warm; an
+    # unhashable hop must still give ValueError, never TypeError
+    valid = accepted_by_the_rule(chain)
+    builds = [
+        lambda prov: Question("q", "q", "t", prov),
+        lambda prov: AnswerCandidate("c", "c", "t", 0, prov),
+    ]
+    with mock.patch.object(dataset, "_VALID_CHAINS", set()):
+        for build in builds * 2:
+            try:
+                record = build(container(chain))
+            except ValueError:
+                assert not valid
+            else:
+                assert valid
+                assert record.provenance == tuple(chain)
+                assert type(record.provenance) is tuple
+        assert dataset._VALID_CHAINS == ({tuple(chain)} if valid else set())
+
+
+def test_the_memo_of_valid_chains_stops_growing_at_its_cap():
+    codes = [a + b for a in "abcdefghijklmnopqrstuvwxyz" for b in "abcdefghijklmnopqrstuvwxyz"]
+    with mock.patch.object(dataset, "_VALID_CHAINS", set()):
+        for i in range(dataset._VALID_CHAINS_CAP + 100):
+            Question("q", "q", "t", (codes[i % len(codes)], codes[i // len(codes)]))
+        assert len(dataset._VALID_CHAINS) == dataset._VALID_CHAINS_CAP
+        with pytest.raises(ValueError, match="language code"):
+            Question("q", "q", "t", ("en", "DE"))
 
 
 def test_language_must_match_provenance_tail(tmp_path):

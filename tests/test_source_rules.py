@@ -94,6 +94,35 @@ def test_one_writer_of_output_files():
     assert found == []
 
 
+def _unchecked_builds(node: ast.AST, func: str | None = None):
+    """``(line, what)`` for each ``__new__`` under ``node``, and each
+    ``object.__setattr__`` outside a ``__post_init__``; ``func`` names the
+    function that holds ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute):
+            if child.attr == "__new__":
+                yield child.lineno, "__new__"
+            elif (
+                child.attr == "__setattr__"
+                and getattr(child.value, "id", None) == "object"
+                and func != "__post_init__"
+            ):
+                yield child.lineno, f"object.__setattr__ in {func}"
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _unchecked_builds(child, inner)
+
+
+def test_records_are_built_only_through_their_constructors():
+    # a frozen record is built by its constructor, which checks it; only its
+    # own __post_init__ may set a field, so no unchecked copy can be made
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, what in _unchecked_builds(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_bench_trace_targets_resolve():
     # the traced benchmark patches each target in place, so renaming a traced
     # entry point (say mlas2.experiment.rank) must fail here, not in that run
