@@ -114,7 +114,8 @@ def main() -> None:
     from mlas2.candidates import load_corpus, select_candidates, split_sentences
     from mlas2.dataset import load_questions
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import LexicalScorer, rank
+    from mlas2.reranking import LexicalScorer
+    from mlas2.scoring import rank
     from mlas2.translation import MockTranslator
 
     corpus = load_corpus(corpus_path)

@@ -61,13 +61,24 @@ def add(values):
     return total
 
 
+def norm(u):
+    return math.sqrt(add(x * x for x in u.values()))
+
+
 def cosine(u, v):
-    nu = math.sqrt(add(x * x for x in u.values()))
-    nv = math.sqrt(add(x * x for x in v.values()))
+    nu, nv = norm(u), norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     dot = add(x * v[w] for w, x in u.items() if w in v)
     return dot / (nu * nv)
+
+
+def retrieve(docs, doc_df, doc_n, question_text, k_docs):
+    """Document retrieval: cosine over document-level tf-idf, ties by doc id."""
+    q_vec = tfidf(doc_df, doc_n, question_text)
+    scored = [(d["id"], cosine(q_vec, tfidf(doc_df, doc_n, d["text"]))) for d in docs]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [doc_id for doc_id, _ in scored[:k_docs]]
 
 
 def translate(text, src, tgt):
@@ -91,22 +102,15 @@ def main():
     questions = read_jsonl(FIXTURES / "questions.jsonl")
     gold = {(r["qid"], r["cid"]): r["label"] for r in read_jsonl(FIXTURES / "gold_labels.jsonl")}
 
-    # document retrieval: cosine over document-level tf-idf, ties by doc id
     doc_df, doc_n = df_table([d["text"] for d in docs])
     by_id = {d["id"]: d["text"] for d in docs}
-
-    def retrieve(question_text):
-        q_vec = tfidf(doc_df, doc_n, question_text)
-        scored = [(d["id"], cosine(q_vec, tfidf(doc_df, doc_n, d["text"]))) for d in docs]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return [doc_id for doc_id, _ in scored[:k_docs]]
 
     # candidate selection: idf over every sentence of the corpus, ties by candidate id
     sent_df, sent_n = df_table([s for d in docs for s in sentences(d["text"])])
 
     def select(question_text):
         pool = []
-        for doc_id in retrieve(question_text):
+        for doc_id in retrieve(docs, doc_df, doc_n, question_text, k_docs):
             for i, sentence in enumerate(sentences(by_id[doc_id])):
                 pool.append((f"{doc_id}:{i}", sentence))
         q_vec = tfidf(sent_df, sent_n, question_text)

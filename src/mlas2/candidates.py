@@ -129,7 +129,7 @@ class DocumentCorpus:
         self._post_tfs = tfs[by_term]
         self.idf_table = IdfTable(doc_df, len(self._docs))
         weights = self.idf_table.weights(terms, tfs)
-        squares = np.float_power(weights, 2.0, out=weights)  # in place: no second array
+        squares = np.multiply(weights, weights, out=weights)  # in place: no second array
         self._norms = norms(squares, first)
 
     @property
@@ -213,7 +213,7 @@ def retrieve_documents(query: str, corpus: DocumentCorpus, k: int = 500) -> list
     for t, qw in zip(q.terms.tolist(), q.weights.tolist()):
         if t < len(corpus.term_ids):
             span = slice(first[t], first[t + 1])
-            dots[corpus._post_docs[span]] += qw * corpus._post_tfs[span] * table.idf(t)
+            dots[corpus._post_docs[span]] += qw * (corpus._post_tfs[span] * table.idf(t))
 
     # every weight is at least 1, so a document matches exactly when its dot
     # is nonzero; only those scoring at least the k-th best are sorted, and a

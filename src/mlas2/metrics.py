@@ -176,13 +176,20 @@ class DeltaReport:
 
 def check_baseline(report: MetricsReport, where: str, error: type[Exception]) -> None:
     """Raise ``error`` naming ``where``, the test and the metric unless every
-    metric of a baseline report is positive: ``delta_report`` divides by each."""
+    metric of a baseline report is positive and ``100 / metric`` is finite:
+    ``delta_report`` divides by each, and for a run metric in [0, 1] a
+    finite ``100 / base`` bounds the percent change."""
     for metric in ("p_at_1", "map", "mrr"):
         value = getattr(report, metric)
         if value <= 0.0:
             raise error(
                 f"{where}: test {report.test_set!r}: baseline {metric} must be positive, "
                 f"got {value}"
+            )
+        if not math.isfinite(100.0 / value):
+            raise error(
+                f"{where}: test {report.test_set!r}: baseline {metric} is too small for a "
+                f"percent change, got {value}"
             )
 
 
@@ -194,18 +201,17 @@ def delta_report(
     baseline_name: str | None = None,
 ) -> DeltaReport:
     """Percent change of each metric relative to the baseline report; a
-    baseline with no finite change (not positive, or tiny) raises ValueError."""
+    baseline that ``check_baseline`` rejects raises ValueError."""
+    baseline_name = baseline_name if baseline_name is not None else baseline.test_set
+    check_baseline(baseline, f"baseline {baseline_name!r}", ValueError)
 
     def pct(metric: str) -> float:
         base = getattr(baseline, metric)
-        change = 100.0 * (getattr(run, metric) - base) / base if base > 0.0 else math.nan
-        if not math.isfinite(change):
-            raise ValueError(f"baseline {metric} must be positive and not tiny, got {base!r}")
-        return round_half_away_from_zero(change)
+        return round_half_away_from_zero(100.0 * (getattr(run, metric) - base) / base)
 
     return DeltaReport(
         name=name if name is not None else run.test_set,
-        baseline=baseline_name if baseline_name is not None else baseline.test_set,
+        baseline=baseline_name,
         p_at_1_pct=pct("p_at_1"),
         map_pct=pct("map"),
         mrr_pct=pct("mrr"),

@@ -5,8 +5,7 @@ code that computes with numpy.
 them, and ``cosines`` is the package's one lexical score; ``LexicalScorer``
 ranks texts with it. ``LinearHead`` applies a softmax layer to externally
 produced embeddings. The scoring protocol and the backends that need no
-numpy (static, remote, the pair memo) are in ``mlas2.scoring``; their names
-are re-exported here.
+numpy (static, remote, the pair memo) are in ``mlas2.scoring``.
 """
 
 from __future__ import annotations
@@ -19,17 +18,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# the protocol's names are re-exported, so they read the same from here
-from mlas2.scoring import (
-    PairMemo,
-    RemoteScorer,
-    Scorer,
-    ScoringError,
-    StaticScorer,
-    TextPairScorer,
-    order,
-    rank,
-)
+# RemoteScorer is unused here: bench/tracing.py patches it under this
+# module's name, and test_bench_trace_targets_resolve guards that
+from mlas2.scoring import RemoteScorer, TextPairScorer
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +198,8 @@ class Vectors(NamedTuple):
 
 
 def norms(squares: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The norm of each text from its weights' squares
-    ``squares[first[n]:first[n + 1]]``, added left to right.
-
-    Sentences and scored texts square as ``w * w``; documents as
-    ``np.float_power(w, 2.0)``, equal bit for bit to Python's ``w ** 2``.
-    The two forms can round apart in the last bit (numpy's ``w ** 2`` is
-    ``w * w``), and each keeps its callers' scores and orderings unchanged.
-    """
+    """The norm of each text from its weights' squares ``w * w``,
+    ``squares[first[n]:first[n + 1]]``, added left to right."""
     starts, lengths = first[:-1], np.diff(first)
     sums = np.zeros(len(lengths))
     rows, p = np.flatnonzero(lengths), 0
@@ -229,11 +214,11 @@ def cosines(q: Vectors, t: Vectors, qs: np.ndarray, ts: np.ndarray) -> np.ndarra
     """The tf-idf cosine of q text ``qs[i]`` with t text ``ts[i]`` for each
     pair ``i``, in [0, 1]: the package's one lexical score.
 
-    Each pair's products sit in the order of its shorter vector (q on a
-    tie) and are added left to right; a term the other vector lacks adds an
-    exact 0.0 to a sum that is never negative. The dot is divided by the
-    product of the norms and clamped to 1.0, since a text scored against
-    itself can round one ulp above it; a zero norm scores 0.0.
+    Each pair's products ``q_weight * t_weight`` sit in the order of q's
+    entries and are added left to right; a term t lacks adds an exact 0.0
+    to a sum that is never negative. The dot is divided by the product of
+    the norms and clamped to 1.0, since a text scored against itself can
+    round one ulp above it; a zero norm scores 0.0.
 
     Every t entry of a pair finds its weight in q by ``searchsorted`` over
     q's entries sorted by (term, text), so q needs no dense per-text array.
@@ -258,10 +243,8 @@ def cosines(q: Vectors, t: Vectors, qs: np.ndarray, ts: np.ndarray) -> np.ndarra
     hit = maybe[matched]
     pair, entries, q_entry = pair[hit], entries[hit], by_key[found[matched]]
 
-    walk_t = (t_len < q_len)[pair]
-    cols = np.where(walk_t, entries - t_start[pair], q_entry - q_start[pair])
-    table = np.zeros((int(np.minimum(q_len, t_len).max(initial=0)), len(ts)))
-    table[cols, pair] = t.weights[entries] * q.weights[q_entry]
+    table = np.zeros((int(q_len.max(initial=0)), len(ts)))
+    table[q_entry - q_start[pair], pair] = q.weights[q_entry] * t.weights[entries]
     dots = np.zeros(len(ts))
     for row in table:
         dots += row

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from mlas2.dataset import AnswerCandidate, Dataset, Question, QuestionGroup
-from mlas2.reranking import TextPairScorer, rank, tokenize
+from mlas2.reranking import tokenize
+from mlas2.scoring import TextPairScorer, rank
 
 
 def make_question(qid: str, text: str, lang: str = "en") -> Question:
@@ -123,8 +124,8 @@ def per_pair_lexical_score(q_text: str, t_text: str, texts) -> float:
     """Reference: the tf-idf cosine of one pair over the idf table of
     ``texts``, each text one document, computed from the texts alone,
     without the [0, 1] clamp. Each vector holds ``tf * idf`` in its text's
-    first-occurrence order; the dot walks the shorter vector (the question
-    on a tie) in its own order."""
+    first-occurrence order; the dot adds ``q_weight * t_weight`` over the
+    shared terms in the question's order."""
     df = Counter(term for text in texts for term in set(tokenize(text)))
 
     def vector(text):
@@ -135,7 +136,5 @@ def per_pair_lexical_score(q_text: str, t_text: str, texts) -> float:
     nu, nv = norm(u.values()), norm(v.values())
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    if len(v) < len(u):
-        u, v = v, u
     dot = left_to_right_sum(x * v[t] for t, x in u.items() if t in v)
     return dot / (nu * nv)

@@ -48,7 +48,8 @@ from mlas2.metrics import (
     evaluate,
     render_delta_table,
 )
-from mlas2.reranking import LinearHead, RemoteScorer, Scorer, ScoringError, linear_head_apply
+from mlas2.reranking import LinearHead, linear_head_apply
+from mlas2.scoring import RemoteScorer, Scorer, ScoringError
 from mlas2.servers import make_scorer_server, start_in_thread
 from mlas2.translation import MockTranslator
 

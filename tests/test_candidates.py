@@ -31,15 +31,8 @@ from mlas2.candidates import (
     split_sentences,
 )
 from mlas2.dataset import DatasetFormatError, QuestionGroup, stats, validate_dataset
-from mlas2.reranking import (
-    IdfTable,
-    LexicalScorer,
-    ScoringError,
-    TermIndex,
-    TextPairScorer,
-    order,
-    tokenize,
-)
+from mlas2.reranking import IdfTable, LexicalScorer, TermIndex, tokenize
+from mlas2.scoring import ScoringError, TextPairScorer, order
 
 
 def linear_scan_postings(docs, term):
@@ -85,17 +78,17 @@ def full_sort_retrieval(query, corpus, k):
         return math.log((corpus.num_docs + 1) / (len(corpus.postings(term)) + 1)) + 1.0
 
     q_weights = {term: tf * idf(term) for term, tf in Counter(tokenize(query)).items()}
-    q_norm = math.sqrt(left_to_right_sum(w * w for w in q_weights.values()))
+    q_norm = norm(q_weights.values())
     dots = {}
     for term, qw in q_weights.items():
         for doc_id, tf in corpus.postings(term):
-            dots[doc_id] = dots.get(doc_id, 0.0) + qw * tf * idf(term)
+            dots[doc_id] = dots.get(doc_id, 0.0) + qw * (tf * idf(term))
     scored = []
     for doc in corpus.documents:
         counts = Counter(tokenize(doc.text))
-        norm = math.sqrt(left_to_right_sum((tf * idf(term)) ** 2 for term, tf in counts.items()))
+        d_norm = norm([tf * idf(term) for term, tf in counts.items()])
         dot = dots.get(doc.id, 0.0)
-        score = dot / (q_norm * norm) if norm > 0.0 and dot != 0.0 else 0.0
+        score = dot / (q_norm * d_norm) if d_norm > 0.0 and dot != 0.0 else 0.0
         scored.append((doc.id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [doc_id for doc_id, _ in scored[:k]]
@@ -412,9 +405,9 @@ def test_sentence_tokens_are_the_document_tokens(text):
     k_docs=st.integers(1, 7),
     k_sents=st.integers(1, 40),
 )
-# unseen query terms make the question the longer vector, so cosine sums
-# over the sentence, in its order; summed in the question's order instead,
-# the second sentence's score moves by an ulp
+# unseen query terms make the question the longer vector; the second
+# sentence's score is an ulp apart when its dot is added in the sentence's
+# order instead of the question's
 @example(
     texts=["istanbul star istanbul istanbul star star. star 42 x istanbul x."],
     query="istanbul x 42 sun ΟΔΟΣ zzz",
@@ -427,9 +420,9 @@ def test_sentence_tokens_are_the_document_tokens(text):
 @example(texts=[". "], query="ΟΔΟΣ", k_docs=1, k_sents=1)
 # every query term is one the corpus lacks: nothing matches
 @example(texts=["cats 42. ß x_1"], query="zzz yyy zzz", k_docs=1, k_sents=2)
-# the third sentence has as many distinct terms as the question, so cosine
-# sums in the question's order; in the sentence's order, its score moves by
-# an ulp
+# the third sentence has as many distinct terms as the question; its score
+# is an ulp apart when its dot is added in the sentence's order instead of
+# the question's
 @example(
     texts=["cats. star x_1. star ΟΔΟΣ ς ς x."],
     query="x ΟΔΟΣ ς star ΟΔΟΣ star",
@@ -452,7 +445,8 @@ def test_array_selection_equals_text_selection(texts, query, k_docs, k_sents):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_U_DOC, max_size=6))
-# the first sentence's norm rounds apart with its squares taken as `** 2`
+# the first sentence's norm is an ulp apart with its squares taken as
+# Python's `w ** 2` instead of `w * w`
 @example(["x x x y", "a", "b", "c", "d"])
 def test_sentence_norms_and_df_equal_per_sentence_loops(texts):
     corpus = _unicode_corpus(texts)
@@ -558,8 +552,8 @@ def test_sentence_table_equals_idf_over_split_sentences(texts):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_U_DOC, max_size=6), _U_QUERY)
-# the first document's norm is 6.636394757809998 with its squares taken as
-# `** 2`, and 6.636394757809999 with them taken as `w * w`
+# the first document's norm is 6.636394757809999 with its squares taken as
+# `w * w`, and 6.636394757809998 with them taken as Python's `w ** 2`
 @example(["x x x y", "a", "b", "c", "d"], "x")
 def test_postings_and_norms_equal_whole_document_counts(texts, query):
     corpus = _unicode_corpus(texts)
@@ -571,10 +565,8 @@ def test_postings_and_norms_equal_whole_document_counts(texts, query):
         t = corpus.term_ids.get(term)
         assert (0 if t is None else table.df[t]) == len(expected)
     for doc_id, c in counts.items():
-        norm = math.sqrt(
-            left_to_right_sum((tf * table.idf(corpus.term_ids[term])) ** 2 for term, tf in c.items())
-        )
-        assert corpus._norms[corpus._numbers[doc_id]] == norm
+        weights = [tf * table.idf(corpus.term_ids[term]) for term, tf in c.items()]
+        assert corpus._norms[corpus._numbers[doc_id]] == norm(weights)
     if tokenize(query):
         for k in (1, 2, len(texts) + 3):
             assert retrieve_documents(query, corpus, k) == full_sort_retrieval(query, corpus, k)
@@ -628,10 +620,7 @@ def _per_sentence_index(texts):
             [n for p in postings for n, _ in p],
             [tf for p in postings for _, tf in p],
         ),
-        "norms": [
-            math.sqrt(left_to_right_sum((tf * doc_idf[t]) ** 2 for t, tf in entries))
-            for entries in doc_entries
-        ],
+        "norms": [norm([tf * doc_idf[t] for t, tf in entries]) for entries in doc_entries],
         "sentence_norms": [
             norm([tf * sentence_idf[t] for t, tf in entries]) for entries in sentence_entries
         ],

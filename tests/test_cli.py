@@ -14,6 +14,7 @@ from mlas2 import servers
 from mlas2.cli import main
 from mlas2.dataset import load_dataset, save_dataset, validate_dataset
 from test_dataset import FIXTURE_LINES, write_fixture
+from test_experiment import never_materialized
 
 
 @pytest.fixture
@@ -374,7 +375,7 @@ def test_rank_writes_an_empty_ranking_for_a_question_without_candidates(capsys, 
 
 def test_rank_to_stdout_matches_library(capsys, fixture_path, tmp_path):
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import StaticScorer
+    from mlas2.scoring import StaticScorer
 
     d = load_dataset(fixture_path, "train")
     table = tie_table(d)
@@ -399,7 +400,7 @@ def test_rank_to_stdout_matches_library(capsys, fixture_path, tmp_path):
 @given(d=tie_heavy_datasets())
 def test_rank_equals_per_group_rank(d):
     from mlas2.experiment import ScorerSpec, build_scorer
-    from mlas2.reranking import StaticScorer
+    from mlas2.scoring import StaticScorer
 
     def per_group(scorer):
         return [
@@ -442,7 +443,7 @@ def test_a_unicode_error_is_a_program_fault(monkeypatch, fixture_path):
 
 
 def test_a_scorer_one_group_short_is_a_scoring_error(capsys, monkeypatch, fixture_path):
-    from mlas2.reranking import Scorer, ScoringError, rank
+    from mlas2.scoring import Scorer, ScoringError, rank
 
     class OneGroupShort(Scorer):
         def score_groups(self, groups):
@@ -648,10 +649,15 @@ def test_evaluate_against_a_tiny_baseline_metric_reports_its_delta(capsys, fixtu
 def test_evaluate_against_a_subnormal_baseline_metric_exits_2_before_any_output(
     capsys, fixture_path, tmp_path
 ):
-    # the relative change overflows to infinity, which has no percent to print
+    # the relative change would overflow to infinity, which has no percent to
+    # print; the baseline is rejected where it is read, naming its file
     code, out, err = evaluate_against_tiny_baseline(capsys, fixture_path, tmp_path, 5e-324)
+    base_path = tmp_path / "baseline.json"
     assert (code, out) == (2, "")
-    assert err == "mlas2: error: baseline p_at_1 must be positive and not tiny, got 5e-324\n"
+    assert err == (
+        f"mlas2: error: {base_path}: test 'x': baseline p_at_1 is too small for a percent "
+        "change, got 5e-324\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -953,9 +959,10 @@ def test_experiment_run_batch_size_0_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("tiny", [1e-30, 5e-324], ids=["tiny", "subnormal"])
-def test_experiment_run_against_a_tiny_baseline_metric(capsys, tmp_path, tiny):
+def test_experiment_run_against_a_tiny_baseline_metric(capsys, tmp_path, monkeypatch, tiny):
     # a baseline record whose P@1 is 1e-30 ended in a decimal traceback; a
-    # subnormal one overflows the relative change, which fails the run
+    # subnormal one would overflow the relative change, so the run fails
+    # before its work, naming the record file and the test
     d = make_dataset([make_group("q1", "where do cats sleep", [("cats sleep", 1), ("sun", 0)])])
     save_dataset(d, tmp_path / "src.jsonl")
     config = {
@@ -974,6 +981,8 @@ def test_experiment_run_against_a_tiny_baseline_metric(capsys, tmp_path, tiny):
     record["reports"][0]["p_at_1"] = tiny
     (runs / "base.json").write_text(json.dumps(record))
     config_path.write_text(json.dumps({**config, "run_name": "next", "baseline_run": "base"}))
+    if tiny != 1e-30:
+        never_materialized(monkeypatch)
     code, out, err = run(capsys, "experiment", "run", "--config", config_path, "--results-dir", runs)
     if tiny == 1e-30:
         assert code == 0
@@ -981,7 +990,10 @@ def test_experiment_run_against_a_tiny_baseline_metric(capsys, tmp_path, tiny):
         assert (runs / "next.json").exists()
     else:
         assert (code, out) == (2, "")
-        assert err == "mlas2: error: baseline p_at_1 must be positive and not tiny, got 5e-324\n"
+        assert err == (
+            f"mlas2: error: {runs / 'base.json'}: test 'En': baseline p_at_1 is too small "
+            "for a percent change, got 5e-324\n"
+        )
         assert not (runs / "next.json").exists()
 
 

@@ -34,7 +34,7 @@ from mlas2.dataset import (
 from conftest import make_candidate, make_dataset, make_group, make_question
 from mlas2.candidates import import_annotations, load_corpus, load_gold_labels
 from mlas2.cli import _load_rankings
-from mlas2.reranking import StaticScorer
+from mlas2.scoring import StaticScorer
 from mlas2.servers import load_pair_scores
 
 FIXTURE_LINES = [

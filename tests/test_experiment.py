@@ -36,7 +36,8 @@ from mlas2.experiment import (
     scripted_dev_map,
 )
 from mlas2.metrics import evaluate, judge
-from mlas2.reranking import LexicalScorer, RemoteScorer, ScoringError, StaticScorer
+from mlas2.reranking import LexicalScorer
+from mlas2.scoring import RemoteScorer, ScoringError, StaticScorer
 from mlas2.servers import make_scorer_server, start_in_thread
 from mlas2.translation import MockTranslator, mock_translate
 

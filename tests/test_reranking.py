@@ -23,16 +23,18 @@ from mlas2.reranking import (
     IdfTable,
     LexicalScorer,
     LinearHead,
+    TermIndex,
+    linear_head_apply,
+    tokenize,
+)
+from mlas2.scoring import (
     PairMemo,
     Scorer,
     ScoringError,
     StaticScorer,
-    TermIndex,
     TextPairScorer,
-    linear_head_apply,
     order,
     rank,
-    tokenize,
 )
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, make_group, make_synthetic_dataset, per_pair_lexical_score
 from mlas2.experiment import evaluate_dataset
-from mlas2.reranking import RemoteScorer, ScoringError, StaticScorer
+from mlas2.scoring import RemoteScorer, ScoringError, StaticScorer
 from mlas2.servers import (
     _CountingServer,
     _JsonHandler,

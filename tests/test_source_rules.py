@@ -161,6 +161,40 @@ def test_only_the_term_index_builds_term_id_entries():
     assert found == []
 
 
+def _squares(node: ast.AST) -> str | None:
+    """How ``node`` squares a value other than as ``w * w``, or None:
+    ``float_power`` at any exponent, or a power whose exponent is the
+    constant 2 (``w ** 2``, ``w **= 2``, ``pow(w, 2)``, ``np.power(w, 2)``)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "float_power":
+            return name
+        if name in ("pow", "power") and len(node.args) == 2:
+            exponent = node.args[1]
+        else:
+            return None
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+        exponent = node.right if isinstance(node, ast.BinOp) else node.value
+    else:
+        return None
+    if isinstance(exponent, ast.Constant) and exponent.value == 2:
+        return f"power {exponent.value!r}"
+    return None
+
+
+def test_every_square_is_a_product():
+    # tf-idf norms square each weight as `w * w`, as the oracle does; a
+    # second rule (`float_power`, `** 2`) can round apart in the last bit
+    found = [
+        f"{path.name}:{node.lineno}: {how}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (how := _squares(node))
+    ]
+    assert found == []
+
+
 def _import_time_imports(tree: ast.Module):
     """``(line, module)`` for each import a module runs when it is imported:
     those outside function bodies. ``from mlas2 import x`` names ``mlas2.x``."""
