@@ -176,7 +176,7 @@ def main() -> None:
 
         source_data = load_dataset(source, "test", name="En")
         composed = materialize(parse_composition(EXPR), source_data, MockTranslator())
-        rank_scorer = build_scorer(ScorerSpec("lexical"), composed.candidate_texts(), max_seq_len=128)
+        rank_scorer = build_scorer(ScorerSpec("lexical"), max_seq_len=128)(composed.candidate_texts())
         for group, ranking in zip(composed.groups, rank(composed.groups, rank_scorer)):
             by_id = {c.id: c.text for c in group.candidates}
             scored = [(cid, s, by_id[cid]) for cid, s in ranking]

@@ -240,12 +240,9 @@ def materialize(
             views[lang] = transfer(source, translator, lang)
         return views[lang]
 
-    parts = []
-    for term in plan.terms:
-        if term.is_mixed:
-            part = mix(to_lang(term.q_lang), to_lang(term.t_lang))
-        else:
-            part = to_lang(term.t_lang)
-        parts.append(replace(part, name=render_term(term)))
+    parts = [
+        mix(to_lang(term.q_lang), to_lang(term.t_lang)) if term.is_mixed else to_lang(term.t_lang)
+        for term in plan.terms
+    ]
     out = parts[0] if len(parts) == 1 else concat_many(parts)
     return replace(out, name=render_composition(plan))

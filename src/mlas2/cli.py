@@ -89,7 +89,7 @@ def _scorer(args, texts) -> Scorer:
         )
     except ValueError as exc:
         raise UsageError(f"mlas2: {exc}") from exc
-    return build_scorer(spec, texts, max_seq_len=args.max_seq_len)
+    return build_scorer(spec, max_seq_len=args.max_seq_len)(texts)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from mlas2.metrics import (
     evaluate,
     judge,
 )
-from mlas2.scoring import PairMemo, RemoteScorer, Scorer, StaticScorer, rank
+from mlas2.scoring import RemoteScorer, Scorer, StaticScorer, rank
 from mlas2.translation import (
     CachingTranslator,
     HttpTranslator,
@@ -324,20 +324,25 @@ def build_translator(spec: TranslatorSpec) -> Translator:
     return backend
 
 
-def build_scorer(
-    spec: ScorerSpec, texts: Iterable[str], *, max_seq_len: int, index: TermIndex | None = None
-) -> Scorer:
-    """Construct the scorer a spec describes for ranking ``texts``, the
-    candidate texts it will score; a lexical scorer builds its idf table from
-    them, reading texts through ``index`` when given, and the other kinds
-    ignore both."""
+def build_scorer(spec: ScorerSpec, *, max_seq_len: int) -> Callable[[Iterable[str]], Scorer]:
+    """The scorers a spec describes, as a function from the candidate texts
+    of a composition to the scorer that ranks it. A lexical builder keeps one
+    ``TermIndex``, so its scorers tokenize each distinct text once between
+    them, and builds each scorer's idf table from the texts it is given. The
+    other kinds make their one scorer here (a static one reads its file
+    now) and return it for any texts."""
     if spec.kind == "lexical":
-        from mlas2.reranking import LexicalScorer  # numpy, loaded by lexical runs only
+        from mlas2.reranking import LexicalScorer, TermIndex  # numpy, for lexical runs only
 
-        return LexicalScorer(texts, index)
+        index = TermIndex()
+        return lambda texts: LexicalScorer(texts, index)
     if spec.kind == "remote":
-        return RemoteScorer(spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size)
-    return StaticScorer.from_jsonl(spec.scores_path)
+        scorer: Scorer = RemoteScorer(
+            spec.endpoint, max_seq_len=max_seq_len, batch_size=spec.batch_size
+        )
+    else:
+        scorer = StaticScorer.from_jsonl(spec.scores_path)
+    return lambda texts: scorer
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +427,11 @@ def run_experiment(
     turn with the best scorer, compute deltas against the named baseline run,
     and persist the run record.
 
-    Without an explicit trainer, a constant trainer wraps the configured
-    scorer backend (real fine-tuning lives behind the Trainer interface); a
-    remote backend goes behind a ``PairMemo`` of the run's scored pairs.
+    Without an explicit trainer, a constant trainer wraps the scorer the
+    config describes for the dev set (real fine-tuning lives behind the
+    Trainer interface), and each test composition is ranked by that spec's
+    scorer for its own texts: its own idf table if lexical, and the run's one
+    remote client, memo and all, if remote.
     """
     started = _now()
     hp = config.hyperparameters
@@ -469,28 +476,12 @@ def run_experiment(
     dev_data = compose(config.dev_expr, config.source_dev, "dev")
     fingerprints["dev"] = fingerprint_dataset(dev_data)
 
-    # the run's lexical scorers tokenize each distinct text once, between them
-    index = None
-    if config.scorer.kind == "lexical":
-        from mlas2.reranking import TermIndex
-
-        index = TermIndex()
-
-    def scorer_for(data: Dataset) -> Scorer:
-        return build_scorer(
-            config.scorer, data.candidate_texts(), max_seq_len=hp.max_seq_len, index=index
-        )
-
-    # the lexical baseline's idf table always comes from the dataset it scores
-    rebind_per_test = trainer is None and config.scorer.kind == "lexical"
+    # built after the dev set, so a bad scores file fails here; the builder
+    # and the scorers it keeps (a remote client's memo) die with the run
+    scorer_for = None
     if trainer is None:
-        snapshot = scorer_for(dev_data)
-        # the compositions of a run repeat each other's pairs, and a remote
-        # scorer scores each pair by itself: the run's one snapshot sends each
-        # distinct pair once, through a memo that dies with the run
-        if config.scorer.kind == "remote":
-            snapshot = PairMemo(snapshot)
-        trainer = ConstantScorerTrainer(snapshot)
+        scorer_for = build_scorer(config.scorer, max_seq_len=hp.max_seq_len)
+        trainer = ConstantScorerTrainer(scorer_for(dev_data.candidate_texts()))
 
     # a trainer may hand back the snapshot it handed back last time (the
     # constant trainer always does); its dev MAP is then the one just computed
@@ -509,7 +500,7 @@ def run_experiment(
     def report(expr: str) -> MetricsReport:
         data = compose(expr, config.source_test, "test")
         fingerprints[f"test:{expr}"] = fingerprint_dataset(data)
-        scorer = scorer_for(data) if rebind_per_test else stop.best_scorer
+        scorer = stop.best_scorer if scorer_for is None else scorer_for(data.candidate_texts())
         return evaluate_dataset(data, scorer, test_set=expr)
 
     reports = [report(expr) for expr in config.test_exprs]

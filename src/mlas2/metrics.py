@@ -9,7 +9,7 @@ ranking has at least one positive; filter unanswerable questions out first
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import reduce
 from operator import add
@@ -165,13 +165,7 @@ class DeltaReport:
     mrr_pct: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "baseline": self.baseline,
-            "p_at_1_pct": self.p_at_1_pct,
-            "map_pct": self.map_pct,
-            "mrr_pct": self.mrr_pct,
-        }
+        return asdict(self)
 
 
 def check_baseline(report: MetricsReport, where: str, error: type[Exception]) -> None:

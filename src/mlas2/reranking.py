@@ -5,7 +5,7 @@ code that computes with numpy.
 them, and ``cosines`` is the package's one lexical score; ``LexicalScorer``
 ranks texts with it. ``LinearHead`` applies a softmax layer to externally
 produced embeddings. The scoring protocol and the backends that need no
-numpy (static, remote, the pair memo) are in ``mlas2.scoring``.
+numpy (static, and remote with its pair memo) are in ``mlas2.scoring``.
 """
 
 from __future__ import annotations

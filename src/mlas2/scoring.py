@@ -6,8 +6,8 @@ whole list of question groups per call, so a text-pair scorer sends every
 group's pairs in one ``score_pairs`` call. ``order`` sorts candidate ids by
 score with deterministic id tie-breaking, and ``rank`` scores a list of groups
 in one call and orders each.
-Backends here: a static score table, an HTTP client for remote models, and a
-memo of the pairs a text-pair scorer has scored. The tf-idf lexical baseline
+Backends here: a static score table, and an HTTP client for remote models that
+keeps a memo of the pairs it has scored. The tf-idf lexical baseline
 and the linear head live in ``mlas2.reranking``, the one scoring module that
 imports numpy.
 """
@@ -85,6 +85,12 @@ class RemoteScorer(TextPairScorer):
     chunks of ``batch_size``; responses are validated (count, JSON number,
     range) and reassembled in input order — a short response is an error,
     never a silent truncation.
+
+    ``score_pairs`` is the raw wire call. ``score_groups`` keeps a memo of
+    every pair the client has scored, ``{q: {t: score}}``, for the client's
+    lifetime, and sends each distinct pair once. That is sound because the
+    protocol requires a server to score each pair by itself, independently
+    of the other pairs in a request.
     """
 
     def __init__(
@@ -101,6 +107,26 @@ class RemoteScorer(TextPairScorer):
         self.max_seq_len = max_seq_len
         self.batch_size = batch_size
         self._session = client_session(endpoint, session)
+        self._scores: dict[str, dict[str, float]] = {}
+
+    def score_groups(self, groups: Sequence[QuestionGroup]) -> list[list[float]]:
+        """Send the distinct pairs of ``groups`` that the memo lacks, in
+        first-seen order and in one ``score_pairs`` call (none when every
+        pair is known), and read each group's scores from the memo."""
+        memo = self._scores
+        fresh = list(dict.fromkeys(
+            (g.question.text, c.text)
+            for g in groups
+            for c in g.candidates
+            if c.text not in memo.get(g.question.text, ())
+        ))
+        if fresh:
+            scores = self.score_pairs(fresh)
+            if len(scores) != len(fresh):
+                raise ScoringError(f"scorer returned {len(scores)} scores for {len(fresh)} pairs")
+            for (q, t), score in zip(fresh, scores):
+                memo.setdefault(q, {})[t] = score
+        return [[memo[g.question.text][c.text] for c in g.candidates] for g in groups]
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         out: list[float] = []
@@ -125,33 +151,6 @@ class RemoteScorer(TextPairScorer):
         if len(scores) != len(pairs):
             raise ScoringError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
         return [float(s) for s in scores]
-
-
-class PairMemo(TextPairScorer):
-    """A text-pair scorer with a memo of the pairs it has scored: each call
-    hands ``scorer`` only the distinct pairs the memo lacks, in first-seen
-    order and in one ``score_pairs`` call, and returns every requested score
-    from the memo, in input order.
-
-    Sound only for a scorer that scores each pair independently of the other
-    pairs it is given, as the remote scoring protocol requires; a lexical
-    scorer's scores depend on its idf table. The memo is ``{q: {t: score}}``,
-    so it keeps the texts but no call's pair tuples alive."""
-
-    def __init__(self, scorer: TextPairScorer) -> None:
-        self.scorer = scorer
-        self._scores: dict[str, dict[str, float]] = {}
-
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        memo = self._scores
-        fresh = list(dict.fromkeys(p for p in pairs if p[1] not in memo.get(p[0], ())))
-        if fresh:
-            scores = self.scorer.score_pairs(fresh)
-            if len(scores) != len(fresh):
-                raise ScoringError(f"scorer returned {len(scores)} scores for {len(fresh)} pairs")
-            for (q, t), score in zip(fresh, scores):
-                memo.setdefault(q, {})[t] = score
-        return [memo[q][t] for q, t in pairs]
 
 
 # ---------------------------------------------------------------------------

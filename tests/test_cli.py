@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -382,7 +383,7 @@ def test_rank_to_stdout_matches_library(capsys, fixture_path, tmp_path):
     scores = write_scores(tmp_path / "scores.jsonl", table)
     for flags, scorer in (
         (["--scorer", "lexical"],
-         build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)),
+         build_scorer(ScorerSpec("lexical"), max_seq_len=128)(d.candidate_texts())),
         (["--scorer", "static", "--scores", scores], StaticScorer(table)),
     ):
         code, out, _ = run(capsys, "rank", fixture_path, *flags)
@@ -417,7 +418,7 @@ def test_rank_equals_per_group_rank(d):
             assert main(["rank", str(data), "--out", str(out), *flags]) == 0
             return [json.loads(l) for l in out.read_text().splitlines()]
 
-        lexical = build_scorer(ScorerSpec("lexical"), d.candidate_texts(), max_seq_len=128)
+        lexical = build_scorer(ScorerSpec("lexical"), max_seq_len=128)(d.candidate_texts())
         assert ranked("--scorer", "lexical") == per_group(lexical)
         table = tie_table(d)
         scores = write_scores(Path(tmp) / "scores.jsonl", table)
@@ -478,6 +479,50 @@ def test_evaluate_perfect_static_scorer(capsys, fixture_path, tmp_path):
     report = first_json(out)
     assert report["p_at_1"] == 1.0 and report["map"] == 1.0 and report["mrr"] == 1.0
     assert report["n"] == 2
+
+
+class LookupCountingTable(dict):
+    """A scorer server's pair-score table that counts each pair's lookups."""
+
+    def __init__(self, scores):
+        super().__init__(scores)
+        self.lookups = Counter()
+
+    def __getitem__(self, pair):
+        self.lookups[pair] += 1
+        return super().__getitem__(pair)
+
+
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+def test_the_remote_scorer_sends_a_repeated_pair_once(capsys, tmp_path, command):
+    # two questions with one text share a candidate text under different ids
+    q = "what is blue"
+    data = tmp_path / "data.jsonl"
+    save_dataset(make_dataset([
+        make_group("q1", q, [("the sky is blue", 1), ("grass is green", 0)]),
+        make_group("q2", q, [("grass is green", 1), ("the sea is blue", 0)]),
+    ]), data)
+    table = LookupCountingTable(
+        {(q, "the sky is blue"): 0.9, (q, "grass is green"): 0.2, (q, "the sea is blue"): 0.6}
+    )
+    server = servers.make_scorer_server(pair_scores=table)
+    servers.start_in_thread(server)
+    try:
+        code, out, err = run(capsys, command, data, "--scorer", "remote",
+                             "--endpoint", f"http://127.0.0.1:{server.server_port}/score")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (code, err) == (0, "")
+    if command == "rank":
+        assert [json.loads(l) for l in out.splitlines()] == [
+            {"qid": "q1", "ranking": [["q1c0", 0.9], ["q1c1", 0.2]]},
+            {"qid": "q2", "ranking": [["q2c1", 0.6], ["q2c0", 0.2]]},
+        ]
+    else:
+        # q2's correct candidate ranks second
+        assert first_json(out) == {"test": "data", "n": 2, "p_at_1": 0.5, "map": 0.75, "mrr": 0.75}
+    assert table.lookups == {pair: 1 for pair in table}
 
 
 def test_evaluate_with_rankings_file(capsys, fixture_path, tmp_path):

@@ -37,7 +37,7 @@ from mlas2.experiment import (
 )
 from mlas2.metrics import evaluate, judge
 from mlas2.reranking import LexicalScorer
-from mlas2.scoring import RemoteScorer, ScoringError, StaticScorer
+from mlas2.scoring import RemoteScorer, ScoringError, StaticScorer, TextPairScorer
 from mlas2.servers import make_scorer_server, start_in_thread
 from mlas2.translation import MockTranslator, mock_translate
 
@@ -657,9 +657,15 @@ def memo_run(tmp_path):
         scorer={"kind": "remote", "endpoint": endpoint, "batch_size": 16},
     ))
 
+    class MemoFree(TextPairScorer):
+        # the remote client's wire call, without its memo
+        remote = RemoteScorer(endpoint, batch_size=16)
+
+        def score_pairs(self, pairs):
+            return self.remote.score_pairs(pairs)
+
     def memo_free():
-        trainer = ConstantScorerTrainer(RemoteScorer(endpoint, batch_size=16))
-        return run_experiment(config, trainer=trainer)
+        return run_experiment(config, trainer=ConstantScorerTrainer(MemoFree()))
 
     yield calls, table, server, config, memo_free
     server.shutdown()

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     idf,
     left_to_right_sum,
     make_candidate,
+    make_group,
     make_question,
     per_pair_lexical_score,
     rank_one,
@@ -28,11 +30,10 @@ from mlas2.reranking import (
     tokenize,
 )
 from mlas2.scoring import (
-    PairMemo,
+    RemoteScorer,
     Scorer,
     ScoringError,
     StaticScorer,
-    TextPairScorer,
     order,
     rank,
 )
@@ -398,39 +399,54 @@ def test_rank_rejects_empty_and_bad_scorer():
         rank_one(q, _cands(["c1", "c2"]), ShortScorer())
 
 
-class RecordingPairScorer(TextPairScorer):
-    """Scores a pair by its texts' lengths and records every call's pairs;
-    ``drop`` scores that many pairs fewer than it is given."""
+def length_scores(pairs):
+    return [len(q) / (len(q) + len(t)) for q, t in pairs]
+
+
+class RecordingRemoteScorer(RemoteScorer):
+    """A remote client whose wire call scores a pair by its texts' lengths
+    and records every call's pairs; ``drop`` scores that many pairs fewer
+    than it is given. It never opens a connection."""
 
     def __init__(self, drop=0):
+        super().__init__("http://127.0.0.1:9/score")
         self.calls = []
         self.drop = drop
 
     def score_pairs(self, pairs):
         self.calls.append(list(pairs))
-        return [len(q) / (len(q) + len(t)) for q, t in pairs[self.drop:]]
+        return length_scores(pairs[self.drop:])
 
 
-def test_pair_memo_hands_on_each_distinct_pair_once():
-    inner, reference = RecordingPairScorer(), RecordingPairScorer()
-    memo = PairMemo(inner)
+def pair_groups(pairs):
+    """``pairs`` as question groups, one per run of one question text, with
+    ids unique across the call."""
+    runs = [(q, [t for _, t in run]) for q, run in groupby(pairs, key=lambda p: p[0])]
+    return [
+        make_group(f"q{i}", q, [(t, None) for t in texts]) for i, (q, texts) in enumerate(runs)
+    ]
+
+
+def test_remote_scorer_sends_each_distinct_pair_once():
+    remote = RecordingRemoteScorer()
     first = [("q", "b"), ("q", "a"), ("q", "b"), ("qq", "a")]
     second = [("qq", "a"), ("q", "cc"), ("q", "a"), ("q", "cc")]
     for pairs in (first, second, first + second, []):
-        assert memo.score_pairs(pairs) == reference.score_pairs(pairs)
+        scores = remote.score_groups(pair_groups(pairs))
+        assert list(chain.from_iterable(scores)) == length_scores(pairs)
     # only the pairs no earlier call had, each once, in first-seen order; a
-    # call without such pairs hands on nothing
-    assert inner.calls == [[("q", "b"), ("q", "a"), ("qq", "a")], [("q", "cc")]]
+    # call without such pairs sends nothing
+    assert remote.calls == [[("q", "b"), ("q", "a"), ("qq", "a")], [("q", "cc")]]
 
 
-def test_pair_memo_short_reply_is_an_error_never_truncation():
-    memo = PairMemo(RecordingPairScorer(drop=1))
+def test_remote_scorer_short_reply_is_an_error_never_truncation():
+    remote = RecordingRemoteScorer(drop=1)
     with pytest.raises(ScoringError, match="returned 1 scores for 2 pairs"):
-        memo.score_pairs([("q", "a"), ("q", "b"), ("q", "a")])
+        remote.score_groups(pair_groups([("q", "a"), ("q", "b"), ("q", "a")]))
 
 
 def test_lexical_scorer_from_dataset(tiny_dataset):
-    scorer = build_scorer(ScorerSpec("lexical"), tiny_dataset.candidate_texts(), max_seq_len=128)
+    scorer = build_scorer(ScorerSpec("lexical"), max_seq_len=128)(tiny_dataset.candidate_texts())
     group = tiny_dataset.groups[1]
     ranked = rank_one(group.question, group.candidates, scorer)
     assert len(ranked) == 3

@@ -228,3 +228,28 @@ def test_numpy_and_the_heavy_modules_load_only_where_they_are_used():
         or (module in heavy and (path.name, module) not in allowed)
     ]
     assert found == []
+
+
+def test_the_run_names_no_scorer_kind():
+    # experiment.build_scorer alone decides what a scorer kind means: the run
+    # reads no spec's kind and compares with no kind name, and no separate
+    # pair memo wraps a remote scorer (the remote client keeps its own)
+    tree = ast.parse((PACKAGE_DIR / "experiment.py").read_text(encoding="utf-8"))
+    (run,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_experiment"
+    ]
+    found = [
+        f"experiment.py:{node.lineno}: "
+        + (f".{node.attr}" if isinstance(node, ast.Attribute) else repr(node.value))
+        for node in ast.walk(run)
+        if (isinstance(node, ast.Attribute) and node.attr == "kind")
+        or (isinstance(node, ast.Constant) and node.value in ("lexical", "remote", "static"))
+    ]
+    found += [
+        f"{path.name}:{node.lineno}: class PairMemo"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "PairMemo"
+    ]
+    assert found == []
